@@ -257,6 +257,7 @@ profile-feed:
 # holding CI hostage to a real fuzzing campaign.
 fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzStepReader$$' -fuzztime 15s ./internal/trace
+	go test -run '^$$' -fuzz 'FuzzFrame$$' -fuzztime 15s ./internal/nettcp
 
 outputs:
 	go test ./... 2>&1 | tee test_output.txt

@@ -202,9 +202,9 @@ func cmdRun(args []string, out io.Writer) (err error) {
 			Obs:       reg,
 		}, *traceOut, reg)
 	case *sockets:
-		err = runSockets(out, cand, *n, *k, *seed, faults, *wait, *rebroadcast, *hostsFile, *listen)
+		err = runSockets(out, diffConfig(cand, *n, *k, *seed, faults, *wait), *rebroadcast, *hostsFile, *listen)
 	case *conformance:
-		err = runConformance(out, cand, *n, *k, *seed, faults, *wait)
+		err = runConformance(out, diffConfig(cand, *n, *k, *seed, faults, *wait))
 	case *concurrent:
 		err = runConcurrent(out, cand, *n, *k, *seed, faults, *wait, *live, reg)
 	default:
@@ -418,17 +418,6 @@ func parseProcs(s string) ([]model.ProcID, error) {
 	return out, nil
 }
 
-func oracleDegree(cand broadcast.Candidate, k int) int {
-	switch cand.OracleK {
-	case -1:
-		return k
-	case 0:
-		return 1
-	default:
-		return cand.OracleK
-	}
-}
-
 func runConcurrent(out io.Writer, cand broadcast.Candidate, n, k int, seed uint64, faults *net.FaultPlan, wait time.Duration, live bool, reg *obs.Registry) error {
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano())
@@ -438,7 +427,7 @@ func runConcurrent(out io.Writer, cand broadcast.Candidate, n, k int, seed uint6
 	cfg := net.Config{
 		N:            n,
 		NewAutomaton: cand.NewAutomaton,
-		K:            oracleDegree(cand, k),
+		K:            cand.OracleDegree(k),
 		MaxDelay:     200 * time.Microsecond,
 		Seed:         seed,
 		Faults:       faults,
@@ -540,20 +529,13 @@ func runCorpus(out io.Writer, seed uint64, workers int, reg *obs.Registry) error
 // -hosts file it spawns nothing and instead waits for externally started
 // node processes, which makes the same differential check work across
 // real machines.
-func runSockets(out io.Writer, cand broadcast.Candidate, n, k int, seed uint64, faults *net.FaultPlan, wait time.Duration, rebroadcast bool, hostsFile, listen string) error {
+func runSockets(out io.Writer, base conf.Config, rebroadcast bool, hostsFile, listen string) error {
 	cfg := conf.SocketConfig{
-		Config: conf.Config{
-			Candidate:   cand,
-			N:           n,
-			K:           k,
-			Workload:    workload.Config{Kind: workload.Uniform, Messages: 3 * n, Seed: seed},
-			Seed:        seed,
-			Faults:      faults,
-			WaitTimeout: wait,
-		},
+		Config:      base,
 		Rebroadcast: rebroadcast,
 		Listen:      listen,
 	}
+	cand, k := base.Candidate, base.K
 	if hostsFile != "" {
 		hn, hosts, err := nettcp.ReadHostsFile(hostsFile)
 		if err != nil {
@@ -583,20 +565,9 @@ func runSockets(out io.Writer, cand broadcast.Candidate, n, k int, seed uint64, 
 	}
 	res, err := conf.CheckSockets(cfg)
 	if res != nil {
-		verdict := func(v *spec.Violation) string {
-			if v == nil {
-				return "admissible"
-			}
-			return v.String()
-		}
 		fmt.Fprintf(out, "%s (sockets): n=%d k=%d messages=%d rebroadcast=%v\n",
 			cand.Name, cfg.N, k, cfg.Config.Workload.Messages, rebroadcast)
-		fmt.Fprintf(out, "  deterministic runtime: %s\n", verdict(res.Sched.Verdict))
-		fmt.Fprintf(out, "  socket cluster:        %s (complete=%v)\n", verdict(res.Socket.Verdict), res.SocketComplete)
-		fmt.Fprintf(out, "  verdicts-agree=%v delivery-sets-agree=%v\n", res.VerdictsAgree, res.DeliverySetsAgree)
-		if res.CounterexampleFound {
-			fmt.Fprintf(out, "  counterexample schedule found (expected: %s is schedule-sensitive)\n", cand.Name)
-		}
+		printComparison(out, cand.Name, "socket cluster", res.Sched, res.Socket, res.Comparison, res.SocketComplete)
 		if len(res.Truncated) > 0 {
 			fmt.Fprintf(out, "  truncated node streams: %v\n", res.Truncated)
 		}
@@ -606,8 +577,23 @@ func runSockets(out io.Writer, cand broadcast.Candidate, n, k int, seed uint64, 
 
 // runConformance runs the cross-runtime differential check for the chosen
 // candidate (internal/conformance) and prints the comparison.
-func runConformance(out io.Writer, cand broadcast.Candidate, n, k int, seed uint64, faults *net.FaultPlan, wait time.Duration) error {
-	res, err := conf.Check(conf.Config{
+func runConformance(out io.Writer, cfg conf.Config) error {
+	res, err := conf.Check(cfg)
+	if res != nil {
+		fmt.Fprintf(out, "%s (conformance): n=%d k=%d messages=%d\n", cfg.Candidate.Name, cfg.N, cfg.K, cfg.Workload.Messages)
+		printComparison(out, cfg.Candidate.Name, "concurrent runtime", res.Sched, res.Net, res.Comparison, res.NetComplete)
+		if cfg.Faults != nil {
+			fmt.Fprintf(out, "  faults: dropped=%d duplicated=%d partition-dropped=%d\n",
+				res.NetStats.FaultDrops, res.NetStats.FaultDups, res.NetStats.PartitionDrops)
+		}
+	}
+	return err
+}
+
+// diffConfig is the differential workload -conformance and -sockets run:
+// 3n uniform broadcasts seeded like the runtime.
+func diffConfig(cand broadcast.Candidate, n, k int, seed uint64, faults *net.FaultPlan, wait time.Duration) conf.Config {
+	return conf.Config{
 		Candidate:   cand,
 		N:           n,
 		K:           k,
@@ -615,25 +601,23 @@ func runConformance(out io.Writer, cand broadcast.Candidate, n, k int, seed uint
 		Seed:        seed,
 		Faults:      faults,
 		WaitTimeout: wait,
-	})
-	if res != nil {
-		verdict := func(v *spec.Violation) string {
-			if v == nil {
-				return "admissible"
-			}
-			return v.String()
-		}
-		fmt.Fprintf(out, "%s (conformance): n=%d k=%d messages=%d\n", cand.Name, n, k, 3*n)
-		fmt.Fprintf(out, "  deterministic runtime: %s\n", verdict(res.Sched.Verdict))
-		fmt.Fprintf(out, "  concurrent runtime:    %s (complete=%v)\n", verdict(res.Net.Verdict), res.NetComplete)
-		fmt.Fprintf(out, "  verdicts-agree=%v delivery-sets-agree=%v\n", res.VerdictsAgree, res.DeliverySetsAgree)
-		if res.CounterexampleFound {
-			fmt.Fprintf(out, "  counterexample schedule found (expected: %s is schedule-sensitive)\n", cand.Name)
-		}
-		if faults != nil {
-			fmt.Fprintf(out, "  faults: dropped=%d duplicated=%d partition-dropped=%d\n",
-				res.NetStats.FaultDrops, res.NetStats.FaultDups, res.NetStats.PartitionDrops)
-		}
 	}
-	return err
+}
+
+// printComparison prints the differential verdict lines -conformance and
+// -sockets share: the deterministic side, the concurrent side called
+// label, and their agreement.
+func printComparison(out io.Writer, cand, label string, sched, other conf.Side, c conf.Comparison, complete bool) {
+	verdict := func(v *spec.Violation) string {
+		if v == nil {
+			return "admissible"
+		}
+		return v.String()
+	}
+	fmt.Fprintf(out, "  deterministic runtime: %s\n", verdict(sched.Verdict))
+	fmt.Fprintf(out, "  %-22s %s (complete=%v)\n", label+":", verdict(other.Verdict), complete)
+	fmt.Fprintf(out, "  verdicts-agree=%v delivery-sets-agree=%v\n", c.VerdictsAgree, c.DeliverySetsAgree)
+	if c.CounterexampleFound {
+		fmt.Fprintf(out, "  counterexample schedule found (expected: %s is schedule-sensitive)\n", cand)
+	}
 }

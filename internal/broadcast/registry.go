@@ -58,19 +58,25 @@ func (c Candidate) SolverFor() func(id model.ProcID) sched.App {
 	return NewFirstDecider
 }
 
+// OracleDegree returns the agreement degree of the k-SA oracle the
+// candidate's implementation needs for a workload of agreement degree k.
+// An implementation that uses no oracle gets a consensus oracle it never
+// consults, which satisfies the runtimes.
+func (c Candidate) OracleDegree(k int) int {
+	switch c.OracleK {
+	case 0:
+		return 1
+	case -1:
+		return k
+	default:
+		return c.OracleK
+	}
+}
+
 // OracleFor returns the oracle the candidate's implementation needs for a
 // workload of agreement degree k.
 func (c Candidate) OracleFor(k int) sched.Oracle {
-	switch c.OracleK {
-	case 0:
-		// No oracle used; supply a consensus oracle to satisfy the
-		// runtime, it will never be consulted.
-		return sched.NewFreeOracle(1)
-	case -1:
-		return sched.NewFreeOracle(k)
-	default:
-		return sched.NewFreeOracle(c.OracleK)
-	}
+	return sched.NewFreeOracle(c.OracleDegree(k))
 }
 
 // candidates is the registry, keyed by name.

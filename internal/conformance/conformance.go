@@ -29,6 +29,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -77,30 +78,36 @@ type Side struct {
 	Deliveries map[model.ProcID][]trace.DeliveryEvent
 }
 
-// Result is the outcome of one differential run.
-type Result struct {
-	Sched, Net Side
+// Comparison is the verdict comparison of a deterministic run against a
+// concurrent one, shared by Run and RunSockets.
+type Comparison struct {
 	// VerdictsAgree reports that both sides are admissible, or both are
 	// rejected for the same property.
 	VerdictsAgree bool
 	// CounterexampleFound reports the one sanctioned verdict asymmetry:
-	// the deterministic fair schedule passed while the concurrent runtime
+	// the deterministic fair schedule passed while the concurrent side
 	// violated the spec, on a candidate marked ScheduleSensitive (a
-	// doomed attempt). The concurrent runtime found a refuting schedule —
+	// doomed attempt). The concurrent side found a refuting schedule —
 	// the paper's expected outcome — so Check does not treat it as a
 	// divergence.
 	CounterexampleFound bool
 	// DeliveriesAgree reports that every process delivered the identical
-	// sequence of (origin, content) pairs on both runtimes.
+	// sequence of (origin, content) pairs on both sides.
 	DeliveriesAgree bool
 	// DeliverySetsAgree reports the weaker set-equality: every process
-	// delivered the same multiset of messages on both runtimes, in some
+	// delivered the same multiset of messages on both sides, in some
 	// order.
 	DeliverySetsAgree bool
 	// DeterministicOrder reports whether the strict sequence check
 	// applies: fault-free, single broadcaster, and a candidate with
 	// deterministic delivery order.
 	DeterministicOrder bool
+}
+
+// Result is the outcome of one differential run.
+type Result struct {
+	Sched, Net Side
+	Comparison
 	// NetLive is the verdict the candidate spec's incremental checker
 	// latched while the concurrent run was still in flight (the same
 	// spec.Monitor the recorder feeds under its mutex), with liveness
@@ -121,12 +128,15 @@ type Result struct {
 	NetStats net.StatsSnapshot
 }
 
-func (cfg *Config) defaults() error {
+// baseline applies the defaults, then executes the script on the
+// deterministic runtime under the fair scheduler and returns its trace:
+// the side every concurrent run is compared against.
+func (cfg *Config) baseline() (*trace.Trace, error) {
 	if cfg.Candidate.NewAutomaton == nil {
-		return fmt.Errorf("conformance: Candidate is required")
+		return nil, fmt.Errorf("conformance: Candidate is required")
 	}
 	if cfg.N < 1 {
-		return fmt.Errorf("conformance: N must be positive, got %d", cfg.N)
+		return nil, fmt.Errorf("conformance: N must be positive, got %d", cfg.N)
 	}
 	if cfg.K < 1 {
 		cfg.K = 1
@@ -145,39 +155,10 @@ func (cfg *Config) defaults() error {
 		}
 		reqs, err := workload.Generate(w)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cfg.Requests = reqs
 	}
-	return nil
-}
-
-// oracleDegree resolves the candidate's oracle need against the workload's
-// k (the same rule the cmd tools apply).
-func oracleDegree(c broadcast.Candidate, k int) int {
-	switch c.OracleK {
-	case 0:
-		return 1
-	case -1:
-		return k
-	default:
-		return c.OracleK
-	}
-}
-
-// singleBroadcaster reports whether every request names the same process.
-func singleBroadcaster(reqs []sched.BroadcastReq) bool {
-	for _, r := range reqs[1:] {
-		if r.Proc != reqs[0].Proc {
-			return false
-		}
-	}
-	return len(reqs) > 0
-}
-
-// runSched executes the script on the deterministic runtime under the
-// fair scheduler and returns its trace.
-func runSched(cfg *Config) (*trace.Trace, error) {
 	rt, err := sched.New(sched.Config{
 		N:            cfg.N,
 		NewAutomaton: cfg.Candidate.NewAutomaton,
@@ -196,63 +177,14 @@ func runSched(cfg *Config) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// runNet executes the script on the concurrent runtime and returns its
-// trace, convergence status, live verdict, and counter snapshot. The
-// candidate's own spec runs incrementally inside the recorder while the
-// run is in flight; its latched verdict is the differential counterpart
-// to the post-hoc batch check. Submissions respect well-formedness: a
-// process's next invocation waits for the previous one to return (mutual
-// broadcast, for instance, returns only after a quorum of echoes).
-func runNet(cfg *Config, sp spec.Spec) (*trace.Trace, bool, *spec.Violation, net.StatsSnapshot, error) {
-	nw, err := net.New(net.Config{
-		N:            cfg.N,
-		NewAutomaton: cfg.Candidate.NewAutomaton,
-		K:            oracleDegree(cfg.Candidate, cfg.K),
-		MaxDelay:     cfg.MaxDelay,
-		Seed:         cfg.Seed,
-		Faults:       cfg.Faults,
-		RecordTrace:  true,
-		LiveSpecs:    []spec.Spec{sp},
-	})
-	if err != nil {
-		return nil, false, nil, net.StatsSnapshot{}, err
-	}
-	defer nw.Stop()
-	submitted := make(map[model.ProcID]int64)
-	for _, req := range cfg.Requests {
-		p := req.Proc
-		if !nw.WaitUntil(func() bool { return nw.Returned(p) >= submitted[p] }, cfg.WaitTimeout) {
-			return nil, false, nil, nw.StatsSnapshot(), fmt.Errorf("conformance: %v's B.broadcast never returned (%d/%d)", p, nw.Returned(p), submitted[p])
-		}
-		if _, err := nw.Broadcast(p, req.Payload); err != nil {
-			return nil, false, nil, nw.StatsSnapshot(), err
-		}
-		submitted[p]++
-	}
-	want := int64(len(cfg.Requests))
-	complete := nw.WaitUntil(func() bool {
-		for p := 1; p <= cfg.N; p++ {
-			if nw.Delivered(model.ProcID(p)) < want {
-				return false
-			}
-		}
-		for p, n := range submitted {
-			if nw.Returned(p) < n {
-				return false
-			}
-		}
-		return true
-	}, cfg.WaitTimeout)
-	nw.Stop()
-	tr := nw.Trace()
-	tr.Complete = complete
-	var live *spec.Violation
-	for _, sv := range nw.FinishLive(complete) {
-		if sv.Spec == sp.Name() {
-			live = sv.Violation
+// singleBroadcaster reports whether every request names the same process.
+func singleBroadcaster(reqs []sched.BroadcastReq) bool {
+	for _, r := range reqs[1:] {
+		if r.Proc != reqs[0].Proc {
+			return false
 		}
 	}
-	return tr, complete, live, nw.StatsSnapshot(), nil
+	return len(reqs) > 0
 }
 
 func sameVerdict(a, b *spec.Violation) bool {
@@ -299,67 +231,109 @@ func sameSets(a, b map[model.ProcID][]trace.DeliveryEvent, n int) bool {
 	return true
 }
 
+// compare judges the deterministic trace and a concurrent side's trace
+// against the candidate's spec sp and compares their projections.
+func compare(cfg *Config, sp spec.Spec, schedTr, tr *trace.Trace) (base, other Side, c Comparison) {
+	base = Side{Trace: schedTr, Verdict: sp.Check(schedTr), Deliveries: trace.ProjectDeliveries(schedTr)}
+	other = Side{Trace: tr, Verdict: sp.Check(tr), Deliveries: trace.ProjectDeliveries(tr)}
+	return base, other, Comparison{
+		VerdictsAgree:       sameVerdict(base.Verdict, other.Verdict),
+		CounterexampleFound: cfg.Candidate.ScheduleSensitive && base.Verdict == nil && other.Verdict != nil,
+		DeliveriesAgree:     sameSequences(base.Deliveries, other.Deliveries, cfg.N),
+		DeliverySetsAgree:   sameSets(base.Deliveries, other.Deliveries, cfg.N),
+		DeterministicOrder: cfg.Faults == nil && cfg.Candidate.DeterministicOrder &&
+			singleBroadcaster(cfg.Requests),
+	}
+}
+
+// divergence returns a descriptive error on any divergence between the
+// deterministic side and the concurrent side called name: disagreeing
+// verdicts, a fault-free concurrent run that failed to converge or
+// delivered different message sets, or — for deterministic-order cases —
+// different delivery sequences.
+func (c *Comparison) divergence(cfg *Config, name string, base, other Side, complete bool) error {
+	cand := cfg.Candidate.Name
+	if !c.VerdictsAgree && !c.CounterexampleFound {
+		return fmt.Errorf("conformance: %s verdicts diverge: sched=%v %s=%v", cand, base.Verdict, name, other.Verdict)
+	}
+	if cfg.Faults == nil {
+		if !complete {
+			return fmt.Errorf("conformance: %s fault-free %s run did not converge", cand, name)
+		}
+		if !c.DeliverySetsAgree {
+			return fmt.Errorf("conformance: %s per-process delivery sets diverge across runtimes", cand)
+		}
+	}
+	if c.DeterministicOrder && !c.DeliveriesAgree {
+		return fmt.Errorf("conformance: %s per-process delivery sequences diverge on a deterministic-order run", cand)
+	}
+	return nil
+}
+
+// drive runs the script on a started concurrent side.
+func drive(cfg *Config, c net.Cluster, name string) (bool, error) {
+	complete, err := net.Drive(context.TODO(), c, cfg.N, cfg.Requests, cfg.WaitTimeout)
+	if err != nil {
+		return false, fmt.Errorf("conformance: %s side: %w", name, err)
+	}
+	return complete, nil
+}
+
 // Run executes the script on both runtimes and compares the projections.
 // It returns an error only when a run itself fails; disagreements are
-// reported in the Result (use Check for a pass/fail answer).
+// reported in the Result (use Check for a pass/fail answer). The
+// candidate's own spec runs incrementally inside the concurrent
+// runtime's recorder while the run is in flight; its latched verdict is
+// the differential counterpart to the post-hoc batch check.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	schedTr, err := runSched(&cfg)
+	schedTr, err := cfg.baseline()
 	if err != nil {
 		return nil, err
 	}
 	sp := cfg.Candidate.Spec(cfg.K)
-	netTr, complete, live, stats, err := runNet(&cfg, sp)
+	nw, err := net.New(net.Config{
+		N:            cfg.N,
+		NewAutomaton: cfg.Candidate.NewAutomaton,
+		K:            cfg.Candidate.OracleDegree(cfg.K),
+		MaxDelay:     cfg.MaxDelay,
+		Seed:         cfg.Seed,
+		Faults:       cfg.Faults,
+		RecordTrace:  true,
+		LiveSpecs:    []spec.Spec{sp},
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Sched: Side{Trace: schedTr, Verdict: sp.Check(schedTr), Deliveries: trace.ProjectDeliveries(schedTr)},
-		Net:   Side{Trace: netTr, Verdict: sp.Check(netTr), Deliveries: trace.ProjectDeliveries(netTr)},
-		DeterministicOrder: cfg.Faults == nil && cfg.Candidate.DeterministicOrder &&
-			singleBroadcaster(cfg.Requests),
-		NetLive:     live,
-		NetComplete: complete,
-		NetStats:    stats,
+	defer nw.Stop()
+	complete, err := drive(&cfg, nw, "net")
+	if err != nil {
+		return nil, err
 	}
-	res.VerdictsAgree = sameVerdict(res.Sched.Verdict, res.Net.Verdict)
+	nw.Stop()
+	tr := nw.Trace()
+	tr.Complete = complete
+	res := &Result{NetComplete: complete, NetStats: nw.StatsSnapshot()}
+	for _, sv := range nw.FinishLive(complete) {
+		if sv.Spec == sp.Name() {
+			res.NetLive = sv.Violation
+		}
+	}
+	res.Sched, res.Net, res.Comparison = compare(&cfg, sp, schedTr, tr)
 	res.LiveAgrees = (res.NetLive == nil) == (res.Net.Verdict == nil)
-	res.CounterexampleFound = cfg.Candidate.ScheduleSensitive &&
-		res.Sched.Verdict == nil && res.Net.Verdict != nil
-	res.DeliveriesAgree = sameSequences(res.Sched.Deliveries, res.Net.Deliveries, cfg.N)
-	res.DeliverySetsAgree = sameSets(res.Sched.Deliveries, res.Net.Deliveries, cfg.N)
 	return res, nil
 }
 
 // Check runs the differential comparison and returns a descriptive error
-// on any divergence: disagreeing verdicts, a fault-free concurrent run
-// that failed to converge or delivered different message sets, or — for
-// deterministic-order cases — different delivery sequences.
+// on any divergence (see Comparison), or when the live and batch verdicts
+// of the concurrent trace disagree.
 func Check(cfg Config) (*Result, error) {
 	res, err := Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if !res.VerdictsAgree && !res.CounterexampleFound {
-		return res, fmt.Errorf("conformance: %s verdicts diverge: sched=%v net=%v",
-			cfg.Candidate.Name, res.Sched.Verdict, res.Net.Verdict)
-	}
 	if !res.LiveAgrees {
 		return res, fmt.Errorf("conformance: %s live and batch verdicts diverge on the concurrent trace: live=%v batch=%v",
 			cfg.Candidate.Name, res.NetLive, res.Net.Verdict)
 	}
-	if cfg.Faults == nil {
-		if !res.NetComplete {
-			return res, fmt.Errorf("conformance: %s fault-free concurrent run did not converge", cfg.Candidate.Name)
-		}
-		if !res.DeliverySetsAgree {
-			return res, fmt.Errorf("conformance: %s per-process delivery sets diverge across runtimes", cfg.Candidate.Name)
-		}
-	}
-	if res.DeterministicOrder && !res.DeliveriesAgree {
-		return res, fmt.Errorf("conformance: %s per-process delivery sequences diverge on a deterministic-order run", cfg.Candidate.Name)
-	}
-	return res, nil
+	return res, res.divergence(&cfg, "net", res.Sched, res.Net, res.NetComplete)
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"nobroadcast/internal/model"
 	"nobroadcast/internal/nettcp"
-	"nobroadcast/internal/trace"
 )
 
 // This file extends the differential harness to the third transport:
@@ -47,19 +45,7 @@ type SocketResult struct {
 	// Sched is the deterministic baseline; Socket the merged trace of
 	// the TCP cluster's per-node streams.
 	Sched, Socket Side
-	// VerdictsAgree reports that both sides are admissible, or rejected
-	// for the same property.
-	VerdictsAgree bool
-	// CounterexampleFound is the sanctioned asymmetry for
-	// ScheduleSensitive candidates: socket scheduling found a refuting
-	// schedule the deterministic fair run admits.
-	CounterexampleFound bool
-	// DeliveriesAgree / DeliverySetsAgree mirror Result.
-	DeliveriesAgree   bool
-	DeliverySetsAgree bool
-	// DeterministicOrder reports whether the strict sequence check
-	// applies.
-	DeterministicOrder bool
+	Comparison
 	// SocketComplete reports the socket side converged (every broadcast
 	// returned, every node delivered the full script).
 	SocketComplete bool
@@ -72,71 +58,13 @@ type SocketResult struct {
 // socket cluster and compares the projections. Errors are reserved for
 // runs that fail outright; disagreements land in the result.
 func RunSockets(cfg SocketConfig) (*SocketResult, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	schedTr, err := runSched(&cfg.Config)
+	schedTr, err := cfg.baseline()
 	if err != nil {
 		return nil, err
 	}
-	sp := cfg.Candidate.Spec(cfg.K)
-	sockTr, complete, truncated, err := runSocket(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &SocketResult{
-		Sched:  Side{Trace: schedTr, Verdict: sp.Check(schedTr), Deliveries: trace.ProjectDeliveries(schedTr)},
-		Socket: Side{Trace: sockTr, Verdict: sp.Check(sockTr), Deliveries: trace.ProjectDeliveries(sockTr)},
-		DeterministicOrder: cfg.Faults == nil && cfg.Candidate.DeterministicOrder &&
-			singleBroadcaster(cfg.Requests),
-		SocketComplete: complete,
-		Truncated:      truncated,
-	}
-	res.VerdictsAgree = sameVerdict(res.Sched.Verdict, res.Socket.Verdict)
-	res.CounterexampleFound = cfg.Candidate.ScheduleSensitive &&
-		res.Sched.Verdict == nil && res.Socket.Verdict != nil
-	res.DeliveriesAgree = sameSequences(res.Sched.Deliveries, res.Socket.Deliveries, cfg.N)
-	res.DeliverySetsAgree = sameSets(res.Sched.Deliveries, res.Socket.Deliveries, cfg.N)
-	return res, nil
-}
-
-// CheckSockets runs the socket differential comparison and returns a
-// descriptive error on any divergence, under the same rules Check
-// applies to the concurrent runtime.
-func CheckSockets(cfg SocketConfig) (*SocketResult, error) {
-	res, err := RunSockets(cfg)
-	if err != nil {
-		return nil, err
-	}
-	name := cfg.Candidate.Name
-	if !res.VerdictsAgree && !res.CounterexampleFound {
-		return res, fmt.Errorf("conformance: %s verdicts diverge: sched=%v socket=%v",
-			name, res.Sched.Verdict, res.Socket.Verdict)
-	}
-	if len(res.Truncated) > 0 {
-		return res, fmt.Errorf("conformance: %s socket run lost node streams %v", name, res.Truncated)
-	}
-	if cfg.Faults == nil {
-		if !res.SocketComplete {
-			return res, fmt.Errorf("conformance: %s fault-free socket run did not converge", name)
-		}
-		if !res.DeliverySetsAgree {
-			return res, fmt.Errorf("conformance: %s per-process delivery sets diverge between runtimes", name)
-		}
-	}
-	if res.DeterministicOrder && !res.DeliveriesAgree {
-		return res, fmt.Errorf("conformance: %s per-process delivery sequences diverge on a deterministic-order run", name)
-	}
-	return res, nil
-}
-
-// runSocket executes the script on a nettcp cluster, respecting
-// well-formedness exactly like runNet: a process's next invocation
-// waits for the previous one to return.
-func runSocket(cfg *SocketConfig) (*trace.Trace, bool, []int, error) {
 	cl, err := nettcp.StartCluster(nettcp.ClusterConfig{
 		N:            cfg.N,
-		K:            oracleDegree(cfg.Candidate, cfg.K),
+		K:            cfg.Candidate.OracleDegree(cfg.K),
 		Candidate:    cfg.Candidate.Name,
 		NewAutomaton: cfg.Candidate.NewAutomaton,
 		Seed:         cfg.Seed,
@@ -149,49 +77,43 @@ func runSocket(cfg *SocketConfig) (*trace.Trace, bool, []int, error) {
 		StartTimeout: cfg.StartTimeout,
 	})
 	if err != nil {
-		return nil, false, nil, err
+		return nil, err
 	}
 	defer cl.Stop()
-	submitted := make(map[model.ProcID]int64)
-	for _, req := range cfg.Requests {
-		p := req.Proc
-		if !cl.WaitUntil(func() bool { return cl.Returned(p) >= submitted[p] }, cfg.WaitTimeout) {
-			return nil, false, nil, fmt.Errorf("conformance: %v's B.broadcast never returned on the socket side (%d/%d)",
-				p, cl.Returned(p), submitted[p])
-		}
-		if _, err := cl.Broadcast(p, req.Payload); err != nil {
-			return nil, false, nil, err
-		}
-		submitted[p]++
+	complete, err := drive(&cfg.Config, cl, "socket")
+	if err != nil {
+		return nil, err
 	}
-	want := int64(len(cfg.Requests))
-	complete := cl.WaitUntil(func() bool {
-		for p := 1; p <= cfg.N; p++ {
-			if cl.Delivered(model.ProcID(p)) < want {
-				return false
-			}
-		}
-		for p, n := range submitted {
-			if cl.Returned(p) < n {
-				return false
-			}
-		}
-		return true
-	}, cfg.WaitTimeout)
 	cl.Stop()
 	tr, perNode, err := cl.Collect()
 	if err != nil {
-		return nil, false, nil, err
-	}
-	var truncated []int
-	for _, nt := range perNode {
-		if nt.Err != nil {
-			truncated = append(truncated, nt.ID)
-		}
+		return nil, err
 	}
 	// Liveness clauses apply only to converged runs with intact streams.
 	tr.Complete = tr.Complete && complete
-	return tr, complete, truncated, nil
+	res := &SocketResult{SocketComplete: complete}
+	for _, nt := range perNode {
+		if nt.Err != nil {
+			res.Truncated = append(res.Truncated, nt.ID)
+		}
+	}
+	res.Sched, res.Socket, res.Comparison = compare(&cfg.Config, cfg.Candidate.Spec(cfg.K), schedTr, tr)
+	return res, nil
+}
+
+// CheckSockets runs the socket differential comparison and returns a
+// descriptive error on a lost node stream or any divergence, under the
+// same rules Check applies to the concurrent runtime. Truncation is
+// reported first: a merge that lost a stream can make up verdicts.
+func CheckSockets(cfg SocketConfig) (*SocketResult, error) {
+	res, err := RunSockets(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Truncated) > 0 {
+		return res, fmt.Errorf("conformance: %s socket run lost node streams %v", cfg.Candidate.Name, res.Truncated)
+	}
+	return res, res.divergence(&cfg.Config, "socket", res.Sched, res.Socket, res.SocketComplete)
 }
 
 // SocketCorpus crosses a representative candidate set with socket runs,

@@ -8,16 +8,16 @@ import (
 	"nobroadcast/internal/rng"
 )
 
-// This file exports the sender-egress half of the fault machinery for
-// transports that live outside this package. The in-process runtime
-// applies a FaultPlan inside route(); the TCP transport (internal/nettcp)
-// runs each CAMP node in its own process and needs the identical
-// decision procedure — cut by active partition, drop, duplicate, delay —
-// evaluated at the sender's egress before a frame touches a socket.
+// This file is the one place a FaultPlan is applied: the sender's egress.
+// Every send of a node core passes Egress.Pass before it reaches a
+// transport — cut by active partition, drop, duplicate, then one delay
+// per copy — so automata cannot tell a dropped, partitioned or merely
+// slow message apart, whichever transport carries it. The in-memory
+// Network shares one Egress among its nodes; internal/nettcp gives each
+// node process its own.
 
 // Validate checks the plan against an n-process system; a nil plan is
-// valid. It is the exported face of the constructor-time validation the
-// in-process runtime performs.
+// valid. NewEgress performs the same check.
 func (fp *FaultPlan) Validate(n int) error { return fp.validate(n) }
 
 // Egress evaluates a FaultPlan at one sender's egress. Each call to Pass
@@ -36,8 +36,8 @@ type Egress struct {
 }
 
 // NewEgress compiles plan for an n-process system. maxDelay bounds the
-// default uniform transit delay (zero = no artificial delay), exactly
-// like Config.MaxDelay on the in-process runtime. reg receives the
+// default uniform transit delay (zero = no artificial delay), as
+// Config.MaxDelay does on the in-process runtime. reg receives the
 // net.* metrics (send/fault counters, delay histogram); nil keeps
 // standalone counters readable via Stats.
 func NewEgress(plan *FaultPlan, n int, seed uint64, maxDelay time.Duration, reg *obs.Registry) (*Egress, error) {
@@ -57,7 +57,7 @@ func NewEgress(plan *FaultPlan, n int, seed uint64, maxDelay time.Duration, reg 
 // transit delay per copy to put on the wire. Empty means the message is
 // lost (an active partition severs the link, or the drop coin fired);
 // two entries mean the duplication coin fired. Fault injections count
-// under the same net.faults.* metrics the in-process runtime uses.
+// under the net.faults.* metrics.
 func (e *Egress) Pass(from, to model.ProcID) []time.Duration {
 	e.met.sent.Inc()
 	if e.fs.cut(from, to, time.Since(e.start), e.met) {
@@ -91,14 +91,6 @@ func (e *Egress) delay() time.Duration {
 	return e.rng.uniform(e.maxDelay)
 }
 
-// Stats returns the egress's counter snapshot (sends and the fault
-// counters; the delivery-side counters stay zero — they belong to the
-// transport).
-func (e *Egress) Stats() StatsSnapshot {
-	return StatsSnapshot{
-		Sent:           e.met.sent.Value(),
-		FaultDrops:     e.met.faultDropped.Value(),
-		FaultDups:      e.met.faultDuplicated.Value(),
-		PartitionDrops: e.met.faultPartitionDropped.Value(),
-	}
-}
+// Stats returns the counters of the egress and of any Core running on it
+// (a bare egress counts sends and faults only).
+func (e *Egress) Stats() StatsSnapshot { return e.met.snapshot() }

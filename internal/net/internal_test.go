@@ -1,9 +1,12 @@
 package net
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"nobroadcast/internal/broadcast"
+	"nobroadcast/internal/model"
 	"nobroadcast/internal/rng"
 )
 
@@ -80,5 +83,33 @@ func TestWaitUntilBackoffBounded(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("satisfied condition checked %d times, want 1", calls)
+	}
+}
+
+// TestReceiveRejectsUnknownEndpoints: a reception names its sender by a
+// number that, on the socket transport, arrives off the wire. One outside
+// p1..pn, or a destination hosted elsewhere, must count as dropped rather
+// than index past the per-link tables.
+func TestReceiveRejectsUnknownEndpoints(t *testing.T) {
+	eg, err := NewEgress(nil, 2, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCore(2, []model.ProcID{1}, broadcast.NewSendToAll, 4, eg, Transport{
+		Emit:    func(model.ProcID, model.ProcID, int64, int, model.Payload) {},
+		Propose: func(model.ProcID, model.KSAID, model.Value) (model.Value, bool) { return "", false },
+		Record:  func(model.Step) {},
+	})
+	c.Start()
+	defer c.Stop()
+	c.Receive(1, 0, 0, "x")
+	c.Receive(1, 3, 0, "x")
+	c.Receive(2, 1, 0, "x") // p2 is not hosted by this core
+	if got := eg.Stats().Dropped; got != 3 {
+		t.Fatalf("Dropped = %d, want 3", got)
+	}
+	c.Receive(1, 2, 0, "x")
+	if !Await(context.Background(), func() bool { return eg.Stats().Received == 1 }, 5*time.Second) {
+		t.Fatalf("a valid reception was not handled: %+v", eg.Stats())
 	}
 }

@@ -24,7 +24,7 @@ func TestLiveStreamingWithoutTrace(t *testing.T) {
 	nw, err := net.New(net.Config{
 		N:            n,
 		NewAutomaton: c.NewAutomaton,
-		K:            oracleK(c, 1),
+		K:            c.OracleDegree(1),
 		Seed:         7,
 		LiveSpecs:    []spec.Spec{spec.BasicBroadcast(), spec.FIFOOrder()},
 	})
@@ -91,7 +91,7 @@ func TestLiveAgreesWithRecordedTrace(t *testing.T) {
 	nw, err := net.New(net.Config{
 		N:            n,
 		NewAutomaton: c.NewAutomaton,
-		K:            oracleK(c, 1),
+		K:            c.OracleDegree(1),
 		Seed:         3,
 		RecordTrace:  true,
 		LiveSpecs:    []spec.Spec{sp},
@@ -152,7 +152,7 @@ func TestSinkStreamingTee(t *testing.T) {
 	nw, err := net.New(net.Config{
 		N:            n,
 		NewAutomaton: c.NewAutomaton,
-		K:            oracleK(c, 1),
+		K:            c.OracleDegree(1),
 		Seed:         11,
 		Sink:         bw,
 	})

@@ -41,37 +41,49 @@ type netMetrics struct {
 }
 
 func newNetMetrics(reg *obs.Registry) *netMetrics {
-	if reg == nil {
-		// Standalone counters keep StatsSnapshot alive with observability
-		// disabled; gauge and histograms stay nil (no-op recorders).
-		return &netMetrics{
-			sent:                  obs.NewCounter(),
-			received:              obs.NewCounter(),
-			delivered:             obs.NewCounter(),
-			broadcasts:            obs.NewCounter(),
-			dropped:               obs.NewCounter(),
-			reordered:             obs.NewCounter(),
-			crashes:               obs.NewCounter(),
-			faultDropped:          obs.NewCounter(),
-			faultDuplicated:       obs.NewCounter(),
-			faultPartitionDropped: obs.NewCounter(),
-			partitionsActive:      obs.NewGauge(),
+	// Standalone counters keep StatsSnapshot alive with observability
+	// disabled; the in-flight gauge and histograms stay nil (no-op
+	// recorders).
+	counter := func(name string) *obs.Counter {
+		if reg == nil {
+			return obs.NewCounter()
 		}
+		return reg.Counter(name)
+	}
+	partitions := obs.NewGauge()
+	if reg != nil {
+		partitions = reg.Gauge("net.faults.partitions_active")
 	}
 	return &netMetrics{
-		sent:                  reg.Counter("net.sent"),
-		received:              reg.Counter("net.received"),
-		delivered:             reg.Counter("net.delivered"),
-		broadcasts:            reg.Counter("net.broadcasts"),
-		dropped:               reg.Counter("net.dropped"),
-		reordered:             reg.Counter("net.reordered"),
-		crashes:               reg.Counter("net.crashes"),
-		faultDropped:          reg.Counter("net.faults.dropped"),
-		faultDuplicated:       reg.Counter("net.faults.duplicated"),
-		faultPartitionDropped: reg.Counter("net.faults.partition_dropped"),
-		partitionsActive:      reg.Gauge("net.faults.partitions_active"),
+		sent:                  counter("net.sent"),
+		received:              counter("net.received"),
+		delivered:             counter("net.delivered"),
+		broadcasts:            counter("net.broadcasts"),
+		dropped:               counter("net.dropped"),
+		reordered:             counter("net.reordered"),
+		crashes:               counter("net.crashes"),
+		faultDropped:          counter("net.faults.dropped"),
+		faultDuplicated:       counter("net.faults.duplicated"),
+		faultPartitionDropped: counter("net.faults.partition_dropped"),
+		partitionsActive:      partitions,
 		inFlight:              reg.Gauge("net.in_flight"),
 		delayUS:               reg.Histogram("net.delay_us", obs.DefaultLatencyBuckets...),
 		handleUS:              reg.Histogram("net.handle_us", obs.DefaultLatencyBuckets...),
+	}
+}
+
+// snapshot copies the counters.
+func (m *netMetrics) snapshot() StatsSnapshot {
+	return StatsSnapshot{
+		Sent:           m.sent.Value(),
+		Received:       m.received.Value(),
+		Delivered:      m.delivered.Value(),
+		Broadcasts:     m.broadcasts.Value(),
+		Dropped:        m.dropped.Value(),
+		Reordered:      m.reordered.Value(),
+		Crashes:        m.crashes.Value(),
+		FaultDrops:     m.faultDropped.Value(),
+		FaultDups:      m.faultDuplicated.Value(),
+		PartitionDrops: m.faultPartitionDropped.Value(),
 	}
 }

@@ -2,7 +2,9 @@
 // network where each process runs as its own goroutine and messages travel
 // with randomized delays and reordering. It drives the same deterministic
 // automata as the step-driven runtime (internal/sched), so algorithms
-// verified there run unchanged under real concurrency.
+// verified there run unchanged under real concurrency. Its processes run
+// on the node core (Core), which internal/nettcp's socket transport
+// shares.
 //
 // By default the network implements the communication model of Section 2:
 // complete (every process can send to every process, including itself),
@@ -27,6 +29,7 @@
 package net
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -102,50 +105,16 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-type netEvent struct {
-	kind    int // 0 receive, 1 broadcast
-	from    model.ProcID
-	msg     model.MsgID
-	payload model.Payload
-	// seq is the per-(sender,receiver) send ordinal, used to detect
-	// genuinely reordered arrivals on a link.
-	seq int64
-}
-
-// Network is a running concurrent system.
+// Network is a running concurrent system: a Core hosting all N processes
+// on in-memory channels, with one k-SA oracle, one recorder and one
+// Egress shared by every node.
 type Network struct {
 	cfg    Config
-	nodes  []*node
+	core   *Core
+	egress *Egress
 	oracle *safeOracle
 	msgSeq atomic.Int64
-	delays *safeRng
-	faults *faultState
 	rec    *recorder
-	start  time.Time
-
-	// mu guards the stopped flag. It is never held across a blocking
-	// channel send: enqueuers take it shared just long enough to observe
-	// !stopped (and, on the shed path, to register with msgWg), which is
-	// what lets Stop proceed even while a reentrant OnDeliver callback is
-	// mid-Broadcast. The previous design held it shared across
-	// `inbox <- ev` and deadlocked: a full inbox parked the sender inside
-	// the read lock, Stop blocked on the write lock, and the node loop
-	// that should have drained the inbox was itself the parked sender.
-	mu      sync.RWMutex
-	stopped bool
-	// done is closed when Stop begins; it unparks transit sleepers and
-	// shed enqueues so msgWg can drain.
-	done   chan struct{}
-	msgWg  sync.WaitGroup // transit and shed-enqueue goroutines
-	nodeWg sync.WaitGroup // node event loops
-
-	// linkSeq assigns per-(sender,receiver) send ordinals, indexed by
-	// (from-1)*N + (to-1). Receivers compare arrivals against a
-	// per-sender high-water mark, so the reorder counter means "this link
-	// delivered out of send order" — two perfectly-FIFO senders
-	// interleaving no longer count (they did when the ordinal was global).
-	linkSeq []atomic.Int64
-	met     *netMetrics
 }
 
 // StatsSnapshot is a plain copy of the network counters (backed by
@@ -158,19 +127,6 @@ type StatsSnapshot struct {
 	// FaultDrops, FaultDups, and PartitionDrops count messages lost,
 	// duplicated, and cut by the FaultPlan (zero without one).
 	FaultDrops, FaultDups, PartitionDrops int64
-}
-
-// node is one process.
-type node struct {
-	id        model.ProcID
-	automaton sched.Automaton
-	inbox     chan netEvent
-	crashed   atomic.Bool
-	delivered atomic.Int64
-	returned  atomic.Int64
-	// lastSeq[q-1] is the highest send ordinal received from q so far;
-	// only the node's own goroutine touches it.
-	lastSeq []int64
 }
 
 // safeOracle serializes k-SA propositions across node goroutines.
@@ -220,7 +176,8 @@ func New(cfg Config) (*Network, error) {
 	if cfg.NewAutomaton == nil {
 		return nil, fmt.Errorf("net: NewAutomaton is required")
 	}
-	if err := cfg.Faults.validate(cfg.N); err != nil {
+	eg, err := NewEgress(cfg.Faults, cfg.N, cfg.Seed, cfg.MaxDelay, cfg.Obs)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.K < 1 {
@@ -230,224 +187,29 @@ func New(cfg Config) (*Network, error) {
 		cfg.InboxSize = 1024
 	}
 	nw := &Network{
-		cfg:     cfg,
-		oracle:  &safeOracle{inner: sched.NewFreeOracle(cfg.K)},
-		delays:  &safeRng{src: rng.New(cfg.Seed)},
-		faults:  compileFaults(cfg.Faults),
-		start:   time.Now(),
-		done:    make(chan struct{}),
-		linkSeq: make([]atomic.Int64, cfg.N*cfg.N),
-		met:     newNetMetrics(cfg.Obs),
+		cfg:    cfg,
+		egress: eg,
+		oracle: &safeOracle{inner: sched.NewFreeOracle(cfg.K)},
 	}
 	if cfg.RecordTrace || len(cfg.LiveSpecs) > 0 || cfg.Sink != nil {
 		nw.rec = newRecorder(cfg.N, cfg.RecordTrace, cfg.LiveSpecs, cfg.Sink)
 	}
-	nw.nodes = make([]*node, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		nw.nodes[i] = &node{
-			id:        model.ProcID(i + 1),
-			automaton: cfg.NewAutomaton(model.ProcID(i + 1)),
-			inbox:     make(chan netEvent, cfg.InboxSize),
-			lastSeq:   make([]int64, cfg.N),
-		}
+	ids := make([]model.ProcID, cfg.N)
+	for i := range ids {
+		ids[i] = model.ProcID(i + 1)
 	}
-	for _, nd := range nw.nodes {
-		nd := nd
-		// Init runs in the node's goroutine before consuming events.
-		nw.nodeWg.Add(1)
-		go func() {
-			defer nw.nodeWg.Done()
-			nw.runNode(nd)
-		}()
-	}
+	nw.core = NewCore(cfg.N, ids, cfg.NewAutomaton, cfg.InboxSize, eg, Transport{
+		Emit: func(from, to model.ProcID, seq int64, _ int, payload model.Payload) {
+			nw.core.Receive(to, from, seq, payload)
+		},
+		Propose: func(p model.ProcID, obj model.KSAID, v model.Value) (model.Value, bool) {
+			return nw.oracle.propose(obj, p, v), true
+		},
+		Record:  nw.rec.record,
+		Deliver: cfg.OnDeliver,
+	})
+	nw.core.Start()
 	return nw, nil
-}
-
-// runNode is a node's event loop.
-func (nw *Network) runNode(nd *node) {
-	nw.handle(nd, func(env *sched.Env) { nd.automaton.Init(env) })
-	for ev := range nd.inbox {
-		if nd.crashed.Load() {
-			nw.met.dropped.Inc()
-			continue // drain without processing
-		}
-		switch ev.kind {
-		case 0:
-			nw.met.received.Inc()
-			if last := nd.lastSeq[ev.from-1]; ev.seq < last {
-				nw.met.reordered.Inc()
-			} else {
-				nd.lastSeq[ev.from-1] = ev.seq
-			}
-			nw.handle(nd, func(env *sched.Env) { nd.automaton.OnReceive(env, ev.from, ev.payload) })
-		case 1:
-			nw.met.broadcasts.Inc()
-			nw.rec.record(model.Step{Proc: nd.id, Kind: model.KindBroadcastInvoke, Msg: ev.msg, Payload: ev.payload})
-			nw.handle(nd, func(env *sched.Env) { nd.automaton.OnBroadcast(env, ev.msg, ev.payload) })
-		}
-	}
-}
-
-// handle runs a handler and applies the emitted actions, including the
-// cascading effects of immediate k-SA decisions.
-func (nw *Network) handle(nd *node, call func(env *sched.Env)) {
-	var began time.Time
-	if nw.met.handleUS != nil {
-		began = time.Now()
-	}
-	env := sched.NewEnv(nd.id, nw.cfg.N)
-	call(env)
-	queue := env.TakeActions()
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		switch a.Kind {
-		case model.KindSend:
-			nw.route(nd.id, a.To, a.Payload)
-		case model.KindPropose:
-			nw.rec.record(model.Step{Proc: nd.id, Kind: model.KindPropose, Obj: a.Obj, Val: a.Val})
-			val := nw.oracle.propose(a.Obj, nd.id, a.Val)
-			nw.rec.record(model.Step{Proc: nd.id, Kind: model.KindDecide, Obj: a.Obj, Val: val})
-			env := sched.NewEnv(nd.id, nw.cfg.N)
-			nd.automaton.OnDecide(env, a.Obj, val)
-			queue = append(queue, env.TakeActions()...)
-		case model.KindDeliver:
-			nd.delivered.Add(1)
-			nw.met.delivered.Inc()
-			nw.rec.record(model.Step{Proc: nd.id, Kind: model.KindDeliver, Peer: a.Origin, Msg: a.Msg, Payload: a.Payload})
-			if nw.cfg.OnDeliver != nil {
-				nw.cfg.OnDeliver(Delivery{At: nd.id, From: a.Origin, Msg: a.Msg, Payload: a.Payload})
-			}
-		case model.KindBroadcastReturn:
-			nd.returned.Add(1)
-			nw.rec.record(model.Step{Proc: nd.id, Kind: model.KindBroadcastReturn, Msg: a.Msg})
-		case model.KindInternal:
-			// No effect at the network layer.
-		}
-	}
-	if nw.met.handleUS != nil {
-		nw.met.handleUS.Observe(time.Since(began).Microseconds())
-	}
-}
-
-// transitDelay draws one per-message transit delay from the configured
-// distribution (the fault plan's override, or uniform [0, MaxDelay)).
-func (nw *Network) transitDelay() time.Duration {
-	if d := nw.faults.delayDist(); d != nil {
-		return d.sample(nw.delays)
-	}
-	return nw.delays.uniform(nw.cfg.MaxDelay)
-}
-
-// route forwards a point-to-point message, applying the fault plan and a
-// random transit delay.
-func (nw *Network) route(from, to model.ProcID, payload model.Payload) {
-	if to < 1 || int(to) > nw.cfg.N {
-		nw.met.dropped.Inc()
-		return
-	}
-	nw.met.sent.Inc()
-	target := nw.nodes[to-1]
-	if nw.faults.cut(from, to, time.Since(nw.start), nw.met) {
-		return // the link is severed by an active partition
-	}
-	drop, dup := nw.faults.linkProbs(from, to)
-	if drop > 0 && nw.delays.float64() < drop {
-		nw.met.faultDropped.Inc()
-		return
-	}
-	copies := 1
-	if dup > 0 && nw.delays.float64() < dup {
-		copies = 2
-		nw.met.faultDuplicated.Inc()
-	}
-	seq := nw.linkSeq[(int(from)-1)*nw.cfg.N+(int(to)-1)].Add(1)
-	ev := netEvent{kind: 0, from: from, payload: payload, seq: seq}
-	for c := 0; c < copies; c++ {
-		d := nw.transitDelay()
-		nw.met.delayUS.Observe(d.Microseconds())
-		if d == 0 {
-			// Inline fast path: no transit goroutine, so zero-delay links
-			// are per-link FIFO and the reorder counter stays exactly
-			// zero on delay-free fault-free runs.
-			if !nw.enqueue(target, ev) {
-				nw.met.dropped.Inc()
-			}
-			continue
-		}
-		if !nw.beginAsync() {
-			nw.met.dropped.Inc()
-			continue
-		}
-		nw.met.inFlight.Inc()
-		go func(d time.Duration) {
-			defer nw.msgWg.Done()
-			defer nw.met.inFlight.Dec()
-			select {
-			case <-time.After(d):
-			case <-nw.done:
-				// Shutdown mid-transit: indistinguishable from a message
-				// still in flight.
-				nw.met.dropped.Inc()
-				return
-			}
-			if !nw.enqueue(target, ev) {
-				nw.met.dropped.Inc()
-			}
-		}(d)
-	}
-}
-
-// beginAsync registers a transit goroutine with msgWg, unless the network
-// already stopped. Registration happens under the shared lock so Stop's
-// msgWg.Wait can never miss a registration that observed !stopped.
-func (nw *Network) beginAsync() bool {
-	nw.mu.RLock()
-	defer nw.mu.RUnlock()
-	if nw.stopped {
-		return false
-	}
-	nw.msgWg.Add(1)
-	return true
-}
-
-// enqueue hands ev to nd's event loop without ever blocking the caller and
-// without holding any lock across a blocking send. The fast path is a
-// non-blocking send under the shared lock (which cannot block: the select
-// has a default); a full inbox sheds the enqueue to a goroutine registered
-// with msgWg that parks on the channel until space frees or Stop begins.
-// This is the reentrancy-deadlock fix: an OnDeliver callback may call
-// straight back into Broadcast while Stop awaits the exclusive lock, and
-// neither may wedge the node loop that has to drain the inbox.
-func (nw *Network) enqueue(nd *node, ev netEvent) bool {
-	if nd.crashed.Load() {
-		return false
-	}
-	nw.mu.RLock()
-	if nw.stopped {
-		nw.mu.RUnlock()
-		return false
-	}
-	select {
-	case nd.inbox <- ev:
-		nw.mu.RUnlock()
-		return true
-	default:
-	}
-	// Inbox full: shed. msgWg.Add happens while the shared lock still
-	// guarantees Stop has not begun, so the inbox cannot close underneath
-	// the parked goroutine.
-	nw.msgWg.Add(1)
-	nw.mu.RUnlock()
-	go func() {
-		defer nw.msgWg.Done()
-		select {
-		case nd.inbox <- ev:
-		case <-nw.done:
-			nw.met.dropped.Inc()
-		}
-	}()
-	return true
 }
 
 // Broadcast invokes B.broadcast at process p with the given content and
@@ -459,12 +221,8 @@ func (nw *Network) Broadcast(p model.ProcID, payload model.Payload) (model.MsgID
 	if p < 1 || int(p) > nw.cfg.N {
 		return model.NoMsg, fmt.Errorf("net: no process %v", p)
 	}
-	nd := nw.nodes[p-1]
-	if nd.crashed.Load() {
-		return model.NoMsg, fmt.Errorf("net: %v is crashed", p)
-	}
 	msg := model.MsgID(nw.msgSeq.Add(1))
-	if !nw.enqueue(nd, netEvent{kind: 1, msg: msg, payload: payload}) {
+	if !nw.core.Invoke(p, msg, payload) {
 		return model.NoMsg, fmt.Errorf("net: network is stopped or %v crashed", p)
 	}
 	return msg, nil
@@ -475,97 +233,30 @@ func (nw *Network) Crash(p model.ProcID) error {
 	if p < 1 || int(p) > nw.cfg.N {
 		return fmt.Errorf("net: no process %v", p)
 	}
-	if nw.nodes[p-1].crashed.CompareAndSwap(false, true) {
-		nw.met.crashes.Inc()
-		nw.rec.record(model.Step{Proc: p, Kind: model.KindCrash})
-	}
+	nw.core.Crash(p)
 	return nil
 }
 
 // Delivered reports how many messages process p has B-delivered.
-func (nw *Network) Delivered(p model.ProcID) int64 {
-	if p < 1 || int(p) > nw.cfg.N {
-		return 0
-	}
-	return nw.nodes[p-1].delivered.Load()
-}
+func (nw *Network) Delivered(p model.ProcID) int64 { return nw.core.Delivered(p) }
 
 // Returned reports how many B.broadcast invocations at process p have
 // returned. The conformance harness uses it to respect well-formedness
 // (invocations and responses alternate per process).
-func (nw *Network) Returned(p model.ProcID) int64 {
-	if p < 1 || int(p) > nw.cfg.N {
-		return 0
-	}
-	return nw.nodes[p-1].returned.Load()
-}
+func (nw *Network) Returned(p model.ProcID) int64 { return nw.core.Returned(p) }
 
 // StatsSnapshot returns the current counters.
-func (nw *Network) StatsSnapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Sent:           nw.met.sent.Value(),
-		Received:       nw.met.received.Value(),
-		Delivered:      nw.met.delivered.Value(),
-		Broadcasts:     nw.met.broadcasts.Value(),
-		Dropped:        nw.met.dropped.Value(),
-		Reordered:      nw.met.reordered.Value(),
-		Crashes:        nw.met.crashes.Value(),
-		FaultDrops:     nw.met.faultDropped.Value(),
-		FaultDups:      nw.met.faultDuplicated.Value(),
-		PartitionDrops: nw.met.faultPartitionDropped.Value(),
-	}
-}
+func (nw *Network) StatsSnapshot() StatsSnapshot { return nw.egress.met.snapshot() }
 
 // WaitUntil polls cond until it holds or the timeout elapses, returning
 // whether it held. It is the intended way for integration tests and
-// examples to await eventual-delivery conditions. Polling backs off
-// exponentially from 200µs to 5ms, so a slow condition costs bounded
-// wake-ups instead of a busy core.
+// examples to await eventual-delivery conditions; see Await.
 func (nw *Network) WaitUntil(cond func() bool, timeout time.Duration) bool {
-	const (
-		floor   = 200 * time.Microsecond
-		ceiling = 5 * time.Millisecond
-	)
-	deadline := time.Now().Add(timeout)
-	sleep := floor
-	for {
-		if cond() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return cond()
-		}
-		time.Sleep(sleep)
-		if sleep < ceiling {
-			sleep *= 2
-			if sleep > ceiling {
-				sleep = ceiling
-			}
-		}
-	}
+	return Await(context.TODO(), cond, timeout)
 }
 
 // Stop shuts the network down: no further events are accepted, in-flight
 // message goroutines drain, and all node goroutines join. It is
 // idempotent, and it terminates even while OnDeliver callbacks are
 // reentrantly broadcasting into full inboxes.
-func (nw *Network) Stop() {
-	nw.mu.Lock()
-	if nw.stopped {
-		nw.mu.Unlock()
-		return
-	}
-	nw.stopped = true
-	nw.mu.Unlock()
-	// Unpark every transit sleeper and shed enqueue; they observe done,
-	// count themselves dropped, and exit without touching an inbox.
-	close(nw.done)
-	nw.msgWg.Wait()
-	// No sender remains: new enqueues observe stopped under the shared
-	// lock before reaching a channel, so closing the inboxes is safe and
-	// ends the node loops.
-	for _, nd := range nw.nodes {
-		close(nd.inbox)
-	}
-	nw.nodeWg.Wait()
-}
+func (nw *Network) Stop() { nw.core.Stop() }

@@ -14,17 +14,6 @@ import (
 
 const waitTimeout = 5 * time.Second
 
-func oracleK(c broadcast.Candidate, k int) int {
-	switch c.OracleK {
-	case 0:
-		return 1
-	case -1:
-		return k
-	default:
-		return c.OracleK
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := net.New(net.Config{N: 0}); err == nil {
 		t.Error("expected error for N=0")
@@ -45,7 +34,7 @@ func TestAllCandidatesDeliverEverywhere(t *testing.T) {
 			nw, err := net.New(net.Config{
 				N:            n,
 				NewAutomaton: c.NewAutomaton,
-				K:            oracleK(c, k),
+				K:            c.OracleDegree(k),
 				Seed:         1,
 			})
 			if err != nil {

@@ -2,6 +2,7 @@ package net_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"nobroadcast/internal/broadcast"
 	"nobroadcast/internal/model"
 	"nobroadcast/internal/net"
+	"nobroadcast/internal/obs"
 )
 
 // TestReentrantOnDeliverStopNoDeadlock is the regression test for the
@@ -172,5 +174,48 @@ func TestReorderCounterPerLink(t *testing.T) {
 	}
 	if got := nw.StatsSnapshot().Reordered; got != 0 {
 		t.Errorf("Reordered = %d on a zero-delay run with FIFO senders, want 0 (global-ordinal bug?)", got)
+	}
+}
+
+// TestStopLeaksNoGoroutines: after Stop the goroutine count returns to
+// its pre-start value within 1s, with every shutdown path busy at once —
+// delayed copies still in flight, a 1-slot inbox that sheds, and an
+// OnDeliver that broadcasts again.
+func TestStopLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	reg := obs.New()
+	var nwp atomic.Pointer[net.Network]
+	nw, err := net.New(net.Config{
+		N:            3,
+		NewAutomaton: broadcast.NewSendToAll,
+		MaxDelay:     20 * time.Millisecond,
+		InboxSize:    1,
+		Obs:          reg,
+		OnDeliver: func(d net.Delivery) {
+			if n := nwp.Load(); n != nil && len(d.Payload) < 40 {
+				n.Broadcast(d.At, d.Payload+"x") //nolint:errcheck
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nwp.Store(nw)
+	for p := 1; p <= 3; p++ {
+		for i := 0; i < 20; i++ {
+			nw.Broadcast(model.ProcID(p), model.Payload(fmt.Sprintf("g%d", i))) //nolint:errcheck
+		}
+	}
+	nw.WaitUntil(func() bool { return nw.Delivered(1) >= 30 }, waitTimeout)
+	if reg.Gauge("net.in_flight").Value() == 0 {
+		t.Error("no delayed copy in flight at Stop")
+	}
+	nw.Stop()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 1s after Stop, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

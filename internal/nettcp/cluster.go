@@ -2,6 +2,7 @@ package nettcp
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -170,9 +171,10 @@ func (cl *Cluster) Kill(p model.ProcID) error {
 func (cl *Cluster) Delivered(p model.ProcID) int64 { return cl.h.Delivered(p) }
 func (cl *Cluster) Returned(p model.ProcID) int64  { return cl.h.Returned(p) }
 
-// WaitUntil polls cond with bounded backoff until it holds or timeout.
+// WaitUntil polls cond with bounded backoff until it holds or timeout
+// (see net.Await).
 func (cl *Cluster) WaitUntil(cond func() bool, timeout time.Duration) bool {
-	return cl.h.WaitUntil(cond, timeout)
+	return net.Await(context.TODO(), cond, timeout)
 }
 
 // Stop ends the run and joins the spawned nodes.

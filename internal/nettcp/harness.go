@@ -79,8 +79,7 @@ type Harness struct {
 	traceCh chan int // trace registrations, by node id
 
 	stopOnce sync.Once
-	done     chan struct{}
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the accept loop and its connections
 
 	proposes, statuses *obs.Counter
 }
@@ -115,7 +114,6 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		oracle:   sched.NewFreeOracle(cfg.K),
 		helloCh:  make(chan int, cfg.N),
 		traceCh:  make(chan int, cfg.N),
-		done:     make(chan struct{}),
 		proposes: cfg.Obs.Counter("nettcp.harness.proposes"),
 		statuses: cfg.Obs.Counter("nettcp.harness.statuses"),
 	}
@@ -126,6 +124,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 			traceDone: make(chan struct{}),
 		}
 	}
+	h.wg.Add(1)
 	go h.accept()
 	return h, nil
 }
@@ -134,8 +133,11 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 func (h *Harness) Addr() string { return h.ln.Addr().String() }
 
 // accept identifies each inbound connection by its first frame: a
-// control registration (fHello) or a trace stream (fTraceHello).
+// control registration (fHello) or a trace stream (fTraceHello). The
+// loop holds its own count in wg until the listener closes, so every
+// Add here starts from a positive counter and never races Stop's Wait.
 func (h *Harness) accept() {
+	defer h.wg.Done()
 	for {
 		c, err := h.ln.Accept()
 		if err != nil {
@@ -253,17 +255,15 @@ func (nl *nodeLink) control() *frameConn {
 
 // Start runs the registration handshake to completion: await all
 // control registrations, distribute the start frame with the full
-// address book, then await readiness from every node.
+// address book, then await every node's readiness and trace stream. A
+// stream still in the listener's backlog when a short run stops would
+// be lost with the listener, so Start returns only once all N are
+// registered.
 func (h *Harness) Start() error {
 	deadline := time.NewTimer(h.cfg.StartTimeout)
 	defer deadline.Stop()
-	for seen := 0; seen < h.cfg.N; {
-		select {
-		case <-h.helloCh:
-			seen++
-		case <-deadline.C:
-			return fmt.Errorf("nettcp: %d of %d nodes registered within %v", h.registered(), h.cfg.N, h.cfg.StartTimeout)
-		}
+	if err := h.await(h.helloCh, deadline.C, "nodes"); err != nil {
+		return err
 	}
 	start := startMsg{
 		N:           h.cfg.N,
@@ -292,18 +292,19 @@ func (h *Harness) Start() error {
 			return fmt.Errorf("nettcp: node %d not ready within %v", nl.id, h.cfg.StartTimeout)
 		}
 	}
-	return nil
+	return h.await(h.traceCh, deadline.C, "trace streams")
 }
 
-// registered counts nodes with a control connection.
-func (h *Harness) registered() int {
-	n := 0
-	for _, nl := range h.links {
-		if nl.control() != nil {
-			n++
+// await receives N registrations from ch before the deadline fires.
+func (h *Harness) await(ch chan int, deadline <-chan time.Time, what string) error {
+	for seen := 0; seen < h.cfg.N; seen++ {
+		select {
+		case <-ch:
+		case <-deadline:
+			return fmt.Errorf("nettcp: %d of %d %s registered within %v", seen, h.cfg.N, what, h.cfg.StartTimeout)
 		}
 	}
-	return n
+	return nil
 }
 
 // Broadcast invokes B.broadcast at process p with a fresh global
@@ -356,32 +357,6 @@ func (h *Harness) link(p model.ProcID) (*nodeLink, error) {
 	return h.links[p-1], nil
 }
 
-// WaitUntil polls cond until it holds or the timeout elapses, with the
-// same bounded exponential backoff as the in-process runtime.
-func (h *Harness) WaitUntil(cond func() bool, timeout time.Duration) bool {
-	const (
-		floor   = 200 * time.Microsecond
-		ceiling = 5 * time.Millisecond
-	)
-	deadline := time.Now().Add(timeout)
-	sleep := floor
-	for {
-		if cond() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return cond()
-		}
-		time.Sleep(sleep)
-		if sleep < ceiling {
-			sleep *= 2
-			if sleep > ceiling {
-				sleep = ceiling
-			}
-		}
-	}
-}
-
 // Stop ends the run: every reachable node gets a stop frame, trace
 // streams drain (bounded), and the listener closes. Idempotent.
 func (h *Harness) Stop() {
@@ -408,7 +383,6 @@ func (h *Harness) Stop() {
 				nl.mu.Unlock()
 			}
 		}
-		close(h.done)
 		h.ln.Close()
 		for _, nl := range h.links {
 			if fc := nl.control(); fc != nil {

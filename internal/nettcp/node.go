@@ -36,26 +36,16 @@ type NodeConfig struct {
 	Obs *obs.Registry
 }
 
-// nodeEvent is one inbox entry: a point-to-point reception or a
-// B.broadcast invocation injected by the harness.
-type nodeEvent struct {
-	kind    int // 0 receive, 1 broadcast
-	from    model.ProcID
-	msg     model.MsgID
-	payload model.Payload
-}
-
-// Node is one CAMP process speaking the nettcp wire protocol. The event
-// loop mirrors internal/net's node goroutine: a single goroutine runs
-// the automaton's handlers and executes the emitted actions, so the
-// determinism contract automata rely on holds here too.
+// Node is one CAMP process speaking the nettcp wire protocol: a net.Core
+// hosting the one process, on a transport of framed TCP connections to
+// its peers, with the k-SA oracle reached over the control connection and
+// its steps streamed to the harness as a `.ktr` trace.
 type Node struct {
 	cfg NodeConfig
 	id  model.ProcID
 	n   int
 
-	automaton   sched.Automaton
-	egress      *net.Egress
+	core        *net.Core
 	rebroadcast bool
 
 	control *frameConn
@@ -64,30 +54,19 @@ type Node struct {
 	peers   []*frameConn // index p-1; nil at own id
 	outs    []chan dataMsg
 
-	inbox    chan nodeEvent
 	decideCh chan model.Value
-	stopCh   chan struct{}
-	stopOnce sync.Once
 	killed   atomic.Bool
-	crashed  atomic.Bool
 
 	// recMu serializes trace recording: the event loop and the control
 	// reader (crash steps) both record.
 	recMu sync.Mutex
 	bw    *trace.BinaryWriter
 
-	delivered atomic.Int64
-	returned  atomic.Int64
-	// seq[q-1] is the next send ordinal toward q; only the event loop
-	// assigns ordinals (delayed copies capture theirs at Pass time).
-	seq []int64
-
 	// seen dedups flood copies in rebroadcast mode.
 	seenMu sync.Mutex
 	seen   map[uint64]struct{}
 
-	delayWg sync.WaitGroup
-	connWg  sync.WaitGroup
+	connWg sync.WaitGroup // the peer accept loop, readers and dispatchers
 
 	framesOut, framesIn, relays, dedups *obs.Counter
 }
@@ -121,7 +100,6 @@ func newNode(cfg NodeConfig) (*Node, error) {
 		cfg:       cfg,
 		id:        model.ProcID(cfg.ID),
 		decideCh:  make(chan model.Value, 1),
-		stopCh:    make(chan struct{}),
 		seen:      make(map[uint64]struct{}),
 		framesOut: cfg.Obs.Counter("nettcp.frames.out"),
 		framesIn:  cfg.Obs.Counter("nettcp.frames.in"),
@@ -168,29 +146,32 @@ func (nd *Node) run() error {
 	if err := nd.applyStart(start); err != nil {
 		return err
 	}
+	defer nd.core.Stop() // releases the dispatchers if setup fails
 
 	if err := nd.openTrace(start); err != nil {
 		return err
 	}
+	nd.connWg.Add(1)
 	go nd.acceptPeers()
 	if err := nd.dialPeers(start.Peers); err != nil {
 		return err
 	}
-	go nd.readControl()
 
 	// The mesh is wired: Init may emit sends.
-	nd.handle(func(env *sched.Env) { nd.automaton.Init(env) })
+	nd.core.Start()
+	go nd.readControl()
 	if err := nd.control.send(fReady, struct{}{}); err != nil {
 		return fmt.Errorf("nettcp: node %d ready: %w", nd.cfg.ID, err)
 	}
 
-	nd.loop()
+	// The control reader stops the core on fStop or a lost harness.
+	nd.core.Wait()
 	nd.shutdown()
 	return nil
 }
 
-// applyStart validates the start frame and builds the automaton and
-// egress from it.
+// applyStart validates the start frame and builds the node's core from
+// it.
 func (nd *Node) applyStart(start startMsg) error {
 	if start.N < 1 || nd.cfg.ID > start.N {
 		return fmt.Errorf("nettcp: node %d outside system of %d processes", nd.cfg.ID, start.N)
@@ -200,8 +181,6 @@ func (nd *Node) applyStart(start startMsg) error {
 	}
 	nd.n = start.N
 	nd.rebroadcast = start.Rebroadcast
-	nd.inbox = make(chan nodeEvent, 1024)
-	nd.seq = make([]int64, start.N)
 	nd.peers = make([]*frameConn, start.N)
 	nd.outs = make([]chan dataMsg, start.N)
 
@@ -213,14 +192,18 @@ func (nd *Node) applyStart(start startMsg) error {
 		}
 		newAutomaton = c.NewAutomaton
 	}
-	nd.automaton = newAutomaton(nd.id)
-
 	egress, err := net.NewEgress(start.Faults.plan(), start.N,
 		rng.Derive(start.Seed, uint64(nd.cfg.ID)), time.Duration(start.MaxDelayNS), nd.cfg.Obs)
 	if err != nil {
 		return err
 	}
-	nd.egress = egress
+	nd.core = net.NewCore(start.N, []model.ProcID{nd.id}, newAutomaton, 1024, egress, net.Transport{
+		Emit:    nd.emit,
+		Propose: nd.propose,
+		Record:  nd.record,
+		Deliver: func(net.Delivery) { nd.pushStatus() },
+		Return:  func(model.ProcID) { nd.pushStatus() },
+	})
 	return nil
 }
 
@@ -248,8 +231,11 @@ func (nd *Node) openTrace(start startMsg) error {
 }
 
 // acceptPeers accepts inbound peer connections and serves each with a
-// reader goroutine until the listener closes at shutdown.
+// reader goroutine until the listener closes at shutdown. Like the
+// harness's accept loop, it holds its own count in connWg, so its Adds
+// never race shutdown's Wait.
 func (nd *Node) acceptPeers() {
+	defer nd.connWg.Done()
 	for {
 		c, err := nd.ln.Accept()
 		if err != nil {
@@ -320,7 +306,7 @@ func (nd *Node) dialPeers(peers []string) error {
 					if fc.send(fData, dm) == nil {
 						nd.framesOut.Inc()
 					}
-				case <-nd.stopCh:
+				case <-nd.core.Done():
 					return
 				}
 			}
@@ -335,7 +321,7 @@ func (nd *Node) readControl() {
 	for {
 		t, body, err := nd.control.recv()
 		if err != nil {
-			nd.stop()
+			nd.core.Stop()
 			return
 		}
 		switch t {
@@ -344,11 +330,9 @@ func (nd *Node) readControl() {
 			if decode(t, body, &bm) != nil {
 				continue
 			}
-			nd.enqueue(nodeEvent{kind: 1, msg: bm.Msg, payload: bm.Payload})
+			nd.core.Invoke(nd.id, bm.Msg, bm.Payload)
 		case fCrash:
-			if nd.crashed.CompareAndSwap(false, true) {
-				nd.record(model.Step{Proc: nd.id, Kind: model.KindCrash})
-			}
+			nd.core.Crash(nd.id)
 		case fDecide:
 			var km ksaMsg
 			if decode(t, body, &km) != nil {
@@ -356,134 +340,27 @@ func (nd *Node) readControl() {
 			}
 			select {
 			case nd.decideCh <- km.Val:
-			case <-nd.stopCh:
+			case <-nd.core.Done():
 				return
 			}
 		case fStop:
-			nd.stop()
+			nd.core.Stop()
 			return
-		}
-	}
-}
-
-// enqueue hands ev to the event loop without blocking the caller: a full
-// inbox sheds to a goroutine parked until space frees or the run stops
-// (the same non-FIFO shed internal/net uses).
-func (nd *Node) enqueue(ev nodeEvent) {
-	select {
-	case nd.inbox <- ev:
-	default:
-		go func() {
-			select {
-			case nd.inbox <- ev:
-			case <-nd.stopCh:
-			}
-		}()
-	}
-}
-
-// loop is the node's event loop: one goroutine, exactly like a node
-// goroutine of internal/net.
-func (nd *Node) loop() {
-	for {
-		select {
-		case <-nd.stopCh:
-			return
-		case ev := <-nd.inbox:
-			if nd.crashed.Load() {
-				continue // drain without processing
-			}
-			switch ev.kind {
-			case 0:
-				nd.handle(func(env *sched.Env) { nd.automaton.OnReceive(env, ev.from, ev.payload) })
-			case 1:
-				nd.record(model.Step{Proc: nd.id, Kind: model.KindBroadcastInvoke, Msg: ev.msg, Payload: ev.payload})
-				nd.handle(func(env *sched.Env) { nd.automaton.OnBroadcast(env, ev.msg, ev.payload) })
-			}
-		}
-	}
-}
-
-// handle runs a handler and executes the emitted actions, including the
-// cascading effects of k-SA decisions — the remote twin of
-// internal/net's handle, with the oracle round-trip travelling over the
-// control connection.
-func (nd *Node) handle(call func(env *sched.Env)) {
-	env := sched.NewEnv(nd.id, nd.n)
-	call(env)
-	queue := env.TakeActions()
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		switch a.Kind {
-		case model.KindSend:
-			nd.send(a.To, a.Payload)
-		case model.KindPropose:
-			nd.record(model.Step{Proc: nd.id, Kind: model.KindPropose, Obj: a.Obj, Val: a.Val})
-			val, ok := nd.propose(a.Obj, a.Val)
-			if !ok {
-				return // stopping; the decision never arrives
-			}
-			nd.record(model.Step{Proc: nd.id, Kind: model.KindDecide, Obj: a.Obj, Val: val})
-			env := sched.NewEnv(nd.id, nd.n)
-			nd.automaton.OnDecide(env, a.Obj, val)
-			queue = append(queue, env.TakeActions()...)
-		case model.KindDeliver:
-			nd.delivered.Add(1)
-			nd.record(model.Step{Proc: nd.id, Kind: model.KindDeliver, Peer: a.Origin, Msg: a.Msg, Payload: a.Payload})
-			nd.pushStatus()
-		case model.KindBroadcastReturn:
-			nd.returned.Add(1)
-			nd.record(model.Step{Proc: nd.id, Kind: model.KindBroadcastReturn, Msg: a.Msg})
-			nd.pushStatus()
-		case model.KindInternal:
-			// No effect at the transport layer.
 		}
 	}
 }
 
 // propose round-trips one k-SA proposition through the harness-hosted
 // oracle. ok is false when the run stopped before the decision arrived.
-func (nd *Node) propose(obj model.KSAID, val model.Value) (model.Value, bool) {
+func (nd *Node) propose(_ model.ProcID, obj model.KSAID, val model.Value) (model.Value, bool) {
 	if err := nd.control.send(fPropose, ksaMsg{Obj: obj, Val: val}); err != nil {
 		return "", false
 	}
 	select {
 	case v := <-nd.decideCh:
 		return v, true
-	case <-nd.stopCh:
+	case <-nd.core.Done():
 		return "", false
-	}
-}
-
-// send executes one KindSend action: the egress decides the copies and
-// their transit delays, then each copy goes on the wire (or, addressed
-// to self, back into the local inbox).
-func (nd *Node) send(to model.ProcID, payload model.Payload) {
-	if to < 1 || int(to) > nd.n {
-		return
-	}
-	delays := nd.egress.Pass(nd.id, to)
-	if len(delays) == 0 {
-		return
-	}
-	seq := nd.seq[to-1]
-	nd.seq[to-1]++
-	for ci, d := range delays {
-		dm := dataMsg{From: nd.cfg.ID, Dest: int(to), Seq: seq, Copy: ci, Payload: payload}
-		if d == 0 {
-			nd.emit(dm)
-			continue
-		}
-		nd.delayWg.Add(1)
-		go func(d time.Duration, dm dataMsg) {
-			defer nd.delayWg.Done()
-			select {
-			case <-time.After(d):
-				nd.emit(dm)
-			case <-nd.stopCh:
-			}
-		}(d, dm)
 	}
 }
 
@@ -491,18 +368,19 @@ func (nd *Node) send(to model.ProcID, payload model.Payload) {
 // frame goes straight to its destination (or the local inbox). In
 // rebroadcast mode every copy floods to all peers — destination
 // included — and dedup keeps each copy's first sighting only.
-func (nd *Node) emit(dm dataMsg) {
+func (nd *Node) emit(from, to model.ProcID, seq int64, dup int, payload model.Payload) {
+	dm := dataMsg{From: int(from), Dest: int(to), Seq: seq, Copy: dup, Payload: payload}
 	if !nd.rebroadcast {
-		if dm.Dest == nd.cfg.ID {
-			nd.enqueue(nodeEvent{kind: 0, from: model.ProcID(dm.From), payload: dm.Payload})
+		if to == nd.id {
+			nd.core.Receive(to, from, seq, payload)
 			return
 		}
 		nd.toPeer(dm.Dest, dm)
 		return
 	}
 	nd.markSeen(dm)
-	if dm.Dest == nd.cfg.ID {
-		nd.enqueue(nodeEvent{kind: 0, from: model.ProcID(dm.From), payload: dm.Payload})
+	if to == nd.id {
+		nd.core.Receive(to, from, seq, payload)
 	}
 	for p := 1; p <= nd.n; p++ {
 		if p == nd.cfg.ID {
@@ -526,7 +404,7 @@ func (nd *Node) onData(dm dataMsg) {
 			return
 		}
 	}
-	nd.enqueue(nodeEvent{kind: 0, from: model.ProcID(dm.From), payload: dm.Payload})
+	nd.core.Receive(nd.id, model.ProcID(dm.From), dm.Seq, dm.Payload)
 }
 
 // relay forwards a first-sighted flood copy to every peer except
@@ -545,7 +423,7 @@ func (nd *Node) relay(dm dataMsg) {
 
 // toPeer hands a frame to peer p's dispatcher. A full out channel
 // blocks briefly: the dispatcher always drains (peer readers never
-// block — see enqueue's shed), so this cannot deadlock.
+// block — the core's inbox sheds), so this cannot deadlock.
 func (nd *Node) toPeer(p int, dm dataMsg) {
 	out := nd.outs[p-1]
 	if out == nil {
@@ -553,7 +431,7 @@ func (nd *Node) toPeer(p int, dm dataMsg) {
 	}
 	select {
 	case out <- dm:
-	case <-nd.stopCh:
+	case <-nd.core.Done():
 	}
 }
 
@@ -586,12 +464,7 @@ func (nd *Node) record(s model.Step) {
 
 // pushStatus sends the progress counters to the harness, best-effort.
 func (nd *Node) pushStatus() {
-	nd.control.send(fStatus, statusMsg{Delivered: nd.delivered.Load(), Returned: nd.returned.Load()})
-}
-
-// stop ends the run; idempotent.
-func (nd *Node) stop() {
-	nd.stopOnce.Do(func() { close(nd.stopCh) })
+	nd.control.send(fStatus, statusMsg{Delivered: nd.core.Delivered(nd.id), Returned: nd.core.Returned(nd.id)})
 }
 
 // Kill tears the node down abruptly — no trace end marker, no final
@@ -599,17 +472,16 @@ func (nd *Node) stop() {
 // harness observes the cut trace stream as trace.ErrTruncated.
 func (nd *Node) Kill() {
 	nd.killed.Store(true)
-	nd.stop()
 	if nd.traceC != nil {
 		nd.traceC.Close()
 	}
+	nd.core.Stop()
 }
 
-// shutdown finishes a clean run: delayed copies unpark, the trace
-// stream's end marker flushes, and a final status reaches the harness
-// before the connections close. A killed node skips the clean half.
+// shutdown finishes a run whose core has drained: the trace stream's end
+// marker flushes and a final status reaches the harness before the
+// connections close. A killed node skips the clean half.
 func (nd *Node) shutdown() {
-	nd.delayWg.Wait()
 	if !nd.killed.Load() {
 		nd.recMu.Lock()
 		if nd.bw != nil {

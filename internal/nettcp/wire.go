@@ -1,8 +1,9 @@
 // Package nettcp is the third transport: CAMP nodes as separate
 // processes (or goroutine-isolated peers) wired over real TCP sockets.
-// It reuses the automaton model of internal/sched and the fault
-// machinery of internal/net, so the same candidates, workloads, and
-// FaultPlans that run in-process run across loopback or real hosts.
+// Each node runs internal/net's node core — the same automaton cascade
+// and Egress fault path as the in-memory network — so the same
+// candidates, workloads, and FaultPlans that run in-process run across
+// loopback or real hosts.
 //
 // Topology follows the drand overlay sketched in SNIPPETS.md §3: every
 // node listens on one TCP port, dials every peer once, and pumps egress

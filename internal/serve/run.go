@@ -175,13 +175,10 @@ func (s *Server) executeRun(ctx context.Context, q *RunRequest) (jobOutput, erro
 	}
 	var tr *trace.Trace
 	resp := RunResponse{Candidate: cand.Name, Runtime: q.Runtime, N: q.N, K: q.K}
-	switch q.Runtime {
-	case "sched":
-		tr, err = s.runSched(ctx, cand, q, reqs, &resp)
-	case "tcp":
-		tr, err = s.runTCP(ctx, cand, q, reqs, &resp)
-	default:
-		tr, err = s.runNet(ctx, cand, q, reqs, &resp)
+	if q.Runtime == "sched" {
+		tr, err = s.runSched(ctx, cand, q, reqs)
+	} else {
+		tr, err = s.runConcurrent(ctx, cand, q, reqs, &resp)
 	}
 	if err != nil {
 		return jobOutput{}, err
@@ -220,7 +217,7 @@ func encodeBody(doc any, tr *trace.Trace) (jobOutput, error) {
 
 // runSched executes the workload script on the deterministic runtime
 // under the fair scheduler.
-func (s *Server) runSched(ctx context.Context, cand broadcast.Candidate, q *RunRequest, reqs []sched.BroadcastReq, resp *RunResponse) (*trace.Trace, error) {
+func (s *Server) runSched(ctx context.Context, cand broadcast.Candidate, q *RunRequest, reqs []sched.BroadcastReq) (*trace.Trace, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -238,173 +235,76 @@ func (s *Server) runSched(ctx context.Context, cand broadcast.Candidate, q *RunR
 	return rt.RunFair(sched.RunOptions{Broadcasts: reqs})
 }
 
-// oracleDegree resolves the candidate's oracle need against the
-// workload's k (the same rule the cmd tools apply).
-func oracleDegree(c broadcast.Candidate, k int) int {
-	switch c.OracleK {
-	case 0:
-		return 1
-	case -1:
-		return k
-	default:
-		return c.OracleK
-	}
-}
-
-// runNet executes the workload script on the concurrent goroutine
-// runtime with trace recording on. The convergence wait polls in short
-// slices so a cancelled job context stops the wait promptly.
-func (s *Server) runNet(ctx context.Context, cand broadcast.Candidate, q *RunRequest, reqs []sched.BroadcastReq, resp *RunResponse) (*trace.Trace, error) {
+// runConcurrent executes the workload script on the concurrent runtime
+// ("net": goroutine nodes on in-memory channels) or the socket transport
+// ("tcp": an in-process nettcp cluster whose nodes speak the real wire
+// protocol over loopback, each recording its own trace stream, merged by
+// the conformance projection), with trace recording on. Each convergence
+// wait is bounded by half the job timeout and ends early with the job
+// context.
+func (s *Server) runConcurrent(ctx context.Context, cand broadcast.Candidate, q *RunRequest, reqs []sched.BroadcastReq, resp *RunResponse) (*trace.Trace, error) {
 	sp, _ := s.reg.StartSpanIfTraced(ctx, "serve.runtime")
 	defer sp.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	var faults *net.FaultPlan
 	if q.Drop != 0 || q.Dup != 0 {
 		faults = &net.FaultPlan{Drop: q.Drop, Dup: q.Dup}
 	}
-	nw, err := net.New(net.Config{
-		N:            q.N,
-		NewAutomaton: cand.NewAutomaton,
-		K:            oracleDegree(cand, q.K),
-		MaxDelay:     100 * time.Microsecond,
-		Seed:         q.Seed,
-		Faults:       faults,
-		RecordTrace:  true,
-		Obs:          s.reg,
-	})
+	var (
+		c interface {
+			net.Cluster
+			Stop()
+		}
+		nw  *net.Network
+		cl  *nettcp.Cluster
+		err error
+	)
+	if q.Runtime == "tcp" {
+		cl, err = nettcp.StartCluster(nettcp.ClusterConfig{
+			N:         q.N,
+			K:         cand.OracleDegree(q.K),
+			Candidate: cand.Name,
+			Seed:      q.Seed,
+			Faults:    faults,
+			Obs:       s.reg,
+		})
+		c = cl
+	} else {
+		nw, err = net.New(net.Config{
+			N:            q.N,
+			NewAutomaton: cand.NewAutomaton,
+			K:            cand.OracleDegree(q.K),
+			MaxDelay:     100 * time.Microsecond,
+			Seed:         q.Seed,
+			Faults:       faults,
+			RecordTrace:  true,
+			Obs:          s.reg,
+		})
+		c = nw
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer nw.Stop()
-	submitted := make(map[model.ProcID]int64)
-	for _, req := range reqs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p := req.Proc
-		if !s.waitUntil(ctx, nw.WaitUntil, func() bool { return nw.Returned(p) >= submitted[p] }) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("serve: %v's broadcast never returned", p)
-		}
-		if _, err := nw.Broadcast(p, req.Payload); err != nil {
-			return nil, err
-		}
-		submitted[p]++
-	}
-	want := int64(len(reqs))
-	complete := s.waitUntil(ctx, nw.WaitUntil, func() bool {
-		for p := 1; p <= q.N; p++ {
-			if nw.Delivered(model.ProcID(p)) < want {
-				return false
-			}
-		}
-		for p, n := range submitted {
-			if nw.Returned(p) < n {
-				return false
-			}
-		}
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if !complete && faults == nil {
-		return nil, fmt.Errorf("serve: fault-free run did not converge within the job timeout")
-	}
-	nw.Stop()
-	st := nw.StatsSnapshot()
-	resp.Sends = st.Sent
-	resp.FaultDrops = st.FaultDrops
-	resp.FaultDups = st.FaultDups
-	tr := nw.Trace()
-	tr.Complete = complete
-	return tr, nil
-}
-
-// waitUntil polls cond via the runtime's convergence wait in short
-// slices until it holds, the job context ends, or the overall fault-wait
-// budget (a fraction of the job timeout) runs out. The wait argument is
-// the runtime's own bounded wait (net.Network.WaitUntil or
-// nettcp.Cluster.WaitUntil — same shape on both transports).
-func (s *Server) waitUntil(ctx context.Context, wait func(func() bool, time.Duration) bool, cond func() bool) bool {
-	deadline := time.Now().Add(s.cfg.JobTimeout / 2)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	for {
-		if wait(cond, 25*time.Millisecond) {
-			return true
-		}
-		if ctx.Err() != nil || time.Now().After(deadline) {
-			return false
-		}
-	}
-}
-
-// runTCP executes the workload script on the socket transport: an
-// in-process nettcp cluster whose nodes speak the real wire protocol
-// over loopback TCP, each recording its own trace stream; the harness
-// merges the streams by the conformance projection. Like runNet, the
-// run is conformance-grade rather than byte-replayable, so its result
-// documents bypass the cache.
-func (s *Server) runTCP(ctx context.Context, cand broadcast.Candidate, q *RunRequest, reqs []sched.BroadcastReq, resp *RunResponse) (*trace.Trace, error) {
-	sp, _ := s.reg.StartSpanIfTraced(ctx, "serve.runtime")
-	defer sp.End()
-	var faults *net.FaultPlan
-	if q.Drop != 0 || q.Dup != 0 {
-		faults = &net.FaultPlan{Drop: q.Drop, Dup: q.Dup}
-	}
-	cl, err := nettcp.StartCluster(nettcp.ClusterConfig{
-		N:         q.N,
-		K:         oracleDegree(cand, q.K),
-		Candidate: cand.Name,
-		Seed:      q.Seed,
-		Faults:    faults,
-		Obs:       s.reg,
-	})
+	defer c.Stop()
+	complete, err := net.Drive(ctx, c, q.N, reqs, s.cfg.JobTimeout/2)
 	if err != nil {
-		return nil, err
-	}
-	defer cl.Stop()
-	submitted := make(map[model.ProcID]int64)
-	for _, req := range reqs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p := req.Proc
-		if !s.waitUntil(ctx, cl.WaitUntil, func() bool { return cl.Returned(p) >= submitted[p] }) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("serve: %v's broadcast never returned on the tcp runtime", p)
-		}
-		if _, err := cl.Broadcast(p, req.Payload); err != nil {
-			return nil, err
-		}
-		submitted[p]++
-	}
-	want := int64(len(reqs))
-	complete := s.waitUntil(ctx, cl.WaitUntil, func() bool {
-		for p := 1; p <= q.N; p++ {
-			if cl.Delivered(model.ProcID(p)) < want {
-				return false
-			}
-		}
-		for p, n := range submitted {
-			if cl.Returned(p) < n {
-				return false
-			}
-		}
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: %s runtime: %w", q.Runtime, err)
 	}
 	if !complete && faults == nil {
-		return nil, fmt.Errorf("serve: fault-free tcp run did not converge within the job timeout")
+		return nil, fmt.Errorf("serve: fault-free %s run did not converge within the job timeout", q.Runtime)
 	}
-	cl.Stop()
+	c.Stop()
+	if nw != nil {
+		st := nw.StatsSnapshot()
+		resp.Sends = st.Sent
+		resp.FaultDrops = st.FaultDrops
+		resp.FaultDups = st.FaultDups
+		tr := nw.Trace()
+		tr.Complete = complete
+		return tr, nil
+	}
 	tr, perNode, err := cl.Collect()
 	if err != nil {
 		return nil, err
