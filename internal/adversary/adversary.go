@@ -352,7 +352,7 @@ func Run(opts Options) (*Result, error) {
 	res.FlushStart = rt.StepCount()
 	flushSpan := reg.StartSpan("adversary.flush")
 	flushed := 0
-	for len(rt.InFlight()) > 0 {
+	for rt.InFlightLen() > 0 {
 		if _, err := rt.ReceiveIndex(0); err != nil {
 			return nil, fmt.Errorf("adversary: final flush: %w", err)
 		}
@@ -376,24 +376,22 @@ func Run(opts Options) (*Result, error) {
 }
 
 // flushKToKPlus1 implements lines 22-24: p_{k+1} receives every in-flight
-// message sent to it by p_k, in send order.
+// message sent to it by p_k, in send order. One forward pass suffices: a
+// reception only queues p_{k+1}'s actions, so no message enters the
+// network mid-flush, and receiving the message at index i shifts its
+// successors down by one, so the scan stays at i.
 func flushKToKPlus1(rt *sched.Runtime, k int) error {
 	pk, pk1 := model.ProcID(k), model.ProcID(k+1)
-	for {
-		found := false
-		for _, f := range rt.InFlight() {
-			if f.Proc == pk && f.Peer == pk1 {
-				if _, err := rt.ReceiveInstance(f.Msg); err != nil {
-					return fmt.Errorf("adversary: flushing p_k->p_{k+1}: %w", err)
-				}
-				found = true
-				break
-			}
+	for i := 0; i < rt.InFlightLen(); {
+		if f := rt.InFlightAt(i); f.Proc != pk || f.Peer != pk1 {
+			i++
+			continue
 		}
-		if !found {
-			return nil
+		if _, err := rt.ReceiveIndex(i); err != nil {
+			return fmt.Errorf("adversary: flushing p_k->p_{k+1}: %w", err)
 		}
 	}
+	return nil
 }
 
 // Extend continues the run past α under a fair schedule until quiescence

@@ -3,27 +3,35 @@ package model
 // StepBuffer accumulates the steps of a growing execution in fixed-size
 // chunks. A plain []Step grows by realloc-and-copy: recording a 100k-step
 // trace through append copies every step several times over and leaves a
-// trail of abandoned backing arrays roughly 4× the final size. The buffer
-// never moves a step once written — each chunk is allocated once and filled
-// in place — so recording is one chunk allocation per chunkSize steps and
-// zero copying. Materializing a contiguous []Step (for the readers that
-// index executions directly) is a single exactly-sized allocation plus one
-// copy, paid only when a reader actually asks.
+// trail of abandoned backing arrays roughly 4× the final size. Past its
+// first chunk the buffer never moves a step once written — each later
+// chunk is allocated once, at full size, and filled in place. The first
+// chunk starts at firstChunkCap steps and doubles up to chunkSize, so a
+// short run (most runs the proof machinery makes are a few dozen to a few
+// hundred steps) allocates in proportion to what it records rather than a
+// whole chunk up front; the doubling copies fewer than chunkSize steps in
+// total. Materializing a contiguous []Step (for the readers that index
+// executions directly) is a single exactly-sized allocation plus one copy,
+// paid only when a reader actually asks.
 //
 // The zero value is an empty buffer ready for use. A StepBuffer is not safe
 // for concurrent use; callers that share one across goroutines (the
 // concurrent runtime's recorder) serialize access themselves.
 type StepBuffer struct {
 	// chunks are all full except the last; the invariant lets At and
-	// AppendTo address step i as chunks[i/chunkSize][i%chunkSize].
+	// AppendTo address step i as chunks[i/chunkSize][i%chunkSize]. Only
+	// chunks[0] may have a capacity below chunkSize.
 	chunks [][]Step
 	n      int
 }
 
-// chunkSize is the number of steps per chunk: 1024 steps ≈ 100 KiB per
-// chunk, large enough to amortize allocation, small enough that short
-// traces don't overcommit.
+// chunkSize is the number of steps per chunk: 1024 steps ≈ 96 KiB per
+// chunk, large enough to amortize allocation on long runs.
 const chunkSize = 1024
+
+// firstChunkCap is the initial capacity of the first chunk: 32 steps ≈
+// 3 KiB.
+const firstChunkCap = 32
 
 // ChunkSteps exposes the chunk size so downstream encoders (the binary
 // trace wire format blocks its steps identically) can align their block
@@ -33,9 +41,18 @@ const ChunkSteps = chunkSize
 // Append adds one step at the end of the buffer.
 func (b *StepBuffer) Append(s Step) {
 	last := len(b.chunks) - 1
-	if last < 0 || len(b.chunks[last]) == chunkSize {
+	switch {
+	case last < 0:
+		b.chunks = append(b.chunks, make([]Step, 0, firstChunkCap))
+		last = 0
+	case len(b.chunks[last]) == chunkSize:
 		b.chunks = append(b.chunks, make([]Step, 0, chunkSize))
 		last++
+	case len(b.chunks[last]) == cap(b.chunks[last]):
+		// Only the first chunk can be full below chunkSize: double it.
+		grown := make([]Step, len(b.chunks[last]), min(2*cap(b.chunks[last]), chunkSize))
+		copy(grown, b.chunks[last])
+		b.chunks[last] = grown
 	}
 	b.chunks[last] = append(b.chunks[last], s)
 	b.n++

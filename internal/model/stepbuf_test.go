@@ -75,3 +75,56 @@ func TestStepBufferAppendToRejectsLongerDst(t *testing.T) {
 	}()
 	b.AppendTo(make([]Step, 2))
 }
+
+// TestStepBufferGrowthPoints crosses each place the first chunk regrows
+// (32 → 64 → … → 1024 steps) and the first full-chunk boundary, checking
+// At, whole and incremental AppendTo, and the chunk layout the binary
+// trace format's blocks align with: chunk i holds steps
+// [i·chunkSize, (i+1)·chunkSize), and only chunk 0 starts below full size.
+func TestStepBufferGrowthPoints(t *testing.T) {
+	for _, n := range []int{1, 31, 32, 33, 63, 64, 65, 1023, 1024, 1025, 2*chunkSize + 1} {
+		var b StepBuffer
+		var inc []Step
+		for i := 0; i < n; i++ {
+			b.Append(mkStep(i))
+			if i%31 == 0 { // materialize at irregular points along the way
+				inc = b.AppendTo(inc)
+			}
+		}
+		inc = b.AppendTo(inc)
+		whole := b.AppendTo(nil)
+		if len(inc) != n || len(whole) != n {
+			t.Fatalf("n=%d: incremental AppendTo len %d, whole AppendTo len %d", n, len(inc), len(whole))
+		}
+		for i := 0; i < n; i++ {
+			want := mkStep(i)
+			if got := b.At(i); got != want {
+				t.Fatalf("n=%d: At(%d) = %+v, want %+v", n, i, got, want)
+			}
+			if inc[i] != want || whole[i] != want {
+				t.Fatalf("n=%d: AppendTo step %d = %+v / %+v, want %+v", n, i, inc[i], whole[i], want)
+			}
+		}
+		if want := (n + chunkSize - 1) / chunkSize; len(b.chunks) != want {
+			t.Fatalf("n=%d: %d chunks, want %d", n, len(b.chunks), want)
+		}
+		for c, chunk := range b.chunks {
+			full := min(n-c*chunkSize, chunkSize)
+			if len(chunk) != full {
+				t.Errorf("n=%d: chunk %d holds %d steps, want %d", n, c, len(chunk), full)
+			}
+			if c > 0 && cap(chunk) != chunkSize {
+				t.Errorf("n=%d: chunk %d has capacity %d, want %d", n, c, cap(chunk), chunkSize)
+			}
+		}
+		// The first chunk doubles from firstChunkCap: its capacity is the
+		// smallest such power that holds what it records.
+		want := firstChunkCap
+		for want < len(b.chunks[0]) {
+			want *= 2
+		}
+		if got := cap(b.chunks[0]); got != want {
+			t.Errorf("n=%d: first chunk capacity %d, want %d", n, got, want)
+		}
+	}
+}

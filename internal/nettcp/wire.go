@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	stdnet "net"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,6 +47,11 @@ import (
 // format's block bound: a corrupt or malicious length prefix fails fast
 // instead of sizing an allocation.
 const maxFrameBytes = 1 << 26
+
+// frameReadChunk is the most of a frame body readFrameFrom allocates
+// before the bytes arrive: a smaller frame is read in one exactly-sized
+// piece, a larger one grows with what the peer actually sends.
+const frameReadChunk = 64 << 10
 
 // Frame types. Node→harness and harness→node frames travel on the
 // control connection; fData travels node→node; fTraceHello opens the
@@ -184,7 +190,9 @@ func (b oneByteReader) ReadByte() (byte, error) {
 }
 
 // readFrameFrom reads one length-prefixed frame without buffering past
-// its end: the uvarint length byte-by-byte, then exactly the body.
+// its end: the uvarint length byte-by-byte, then exactly the body, in
+// pieces of at most frameReadChunk bytes so that a declared length the
+// peer never sends costs about what it did send, not the declared size.
 func readFrameFrom(r io.Reader) (byte, []byte, error) {
 	n, err := binary.ReadUvarint(oneByteReader{r})
 	if err != nil {
@@ -193,9 +201,18 @@ func readFrameFrom(r io.Reader) (byte, []byte, error) {
 	if n < 1 || n > maxFrameBytes {
 		return 0, nil, fmt.Errorf("nettcp: frame length %d outside [1, %d]", n, maxFrameBytes)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("nettcp: short frame: %w", err)
+	body := make([]byte, 0, min(n, frameReadChunk))
+	for len(body) < int(n) {
+		k := min(int(n)-len(body), frameReadChunk)
+		body = slices.Grow(body, k)
+		got, err := io.ReadFull(r, body[len(body):len(body)+k])
+		body = body[:len(body)+got]
+		if err != nil {
+			if err == io.EOF && len(body) > 0 {
+				err = io.ErrUnexpectedEOF // the body stopped part-way
+			}
+			return 0, nil, fmt.Errorf("nettcp: short frame: %w", err)
+		}
 	}
 	return body[0], body[1:], nil
 }
