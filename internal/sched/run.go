@@ -123,7 +123,7 @@ func (r *Runtime) enabledEvents(st *runState) []Event {
 		}
 		if ps.blocked && ps.pendingDecide != nil {
 			out = append(out, Event{Kind: EventDecide, Proc: ps.id})
-		} else if !ps.blocked && len(ps.pending) > 0 {
+		} else if !ps.blocked && ps.queued() > 0 {
 			out = append(out, Event{Kind: EventExec, Proc: ps.id})
 		}
 		if r.canInvoke(st, ps.id) {
