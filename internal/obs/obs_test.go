@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -268,37 +271,95 @@ func TestServeHTTP(t *testing.T) {
 	}
 }
 
-// TestDisabledRecordersAllocateNothing is the testable face of the
-// BenchmarkObsOverhead claim: with no registry, the recorder calls that sit
-// on the scheduler's hot path must not allocate at all.
-func TestDisabledRecordersAllocateNothing(t *testing.T) {
-	var r *Registry
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", 1, 10)
+// assertRecordersAllocateNothing is the testable face of the
+// BenchmarkObsOverhead claim: on r, the recorder calls that sit on hot
+// paths allocate nothing, and a trace-only span costs nothing on an
+// untraced context. StartSpanCtx is left out: on an untraced context it
+// records a plain span by design.
+func assertRecordersAllocateNothing(t *testing.T, r *Registry) {
+	t.Helper()
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h", 1, 10)
+	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(9)
 		h.Observe(4)
 		r.Emit("ev", Int("n", 1), Str("s", "x"))
+		sp, _ := r.StartSpanIfTraced(ctx, "cell")
+		sp.End()
 	})
 	if allocs != 0 {
-		t.Errorf("disabled recorders allocate %v allocs/op, want 0", allocs)
+		t.Errorf("recorders allocate %v allocs/op, want 0", allocs)
 	}
+}
+
+// TestDisabledRecordersAllocateNothing: with no registry, the recorder
+// calls must not allocate at all.
+func TestDisabledRecordersAllocateNothing(t *testing.T) {
+	assertRecordersAllocateNothing(t, nil)
 }
 
 // TestEnabledEmitWithoutSinkAllocatesNothing covers the common production
 // state: registry present (counters live) but no event sink attached.
 func TestEnabledEmitWithoutSinkAllocatesNothing(t *testing.T) {
+	assertRecordersAllocateNothing(t, New())
+}
+
+// TestStreamingRecordersAllocateNothing: with a JSONL sink attached, Emit
+// reuses the sink's line buffer once it has grown (AllocsPerRun's warm-up
+// call grows it).
+func TestStreamingRecordersAllocateNothing(t *testing.T) {
 	r := New()
-	c := r.Counter("c")
-	h := r.Histogram("h", 1, 10)
-	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		h.Observe(4)
-		r.Emit("ev", Int("n", 1), Str("s", "x"))
-	})
-	if allocs != 0 {
-		t.Errorf("sink-less recorders allocate %v allocs/op, want 0", allocs)
+	r.AttachEvents(NewEventLog(io.Discard))
+	assertRecordersAllocateNothing(t, r)
+}
+
+// TestSpanRecordsAreCapped: a long-lived registry keeps only the last
+// maxSpans span records, in end order, while /metrics still counts every
+// span and the summary says how many records it dropped.
+func TestSpanRecordsAreCapped(t *testing.T) {
+	r := New()
+	const workers, each = 4, 2_500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.StartSpan("job").End()
+			}
+		}()
+	}
+	wg.Wait()
+	// Then a full ring's worth in a known order: the ring must hold
+	// exactly these, oldest first.
+	ctx := ContextWithTrace(context.Background(), TraceContext{TraceID: "t"})
+	for i := 0; i < maxSpans; i++ {
+		sp, _ := r.StartSpanCtx(ctx, "tail") // span ids count up from 1
+		sp.End()
+	}
+	spans := r.Spans()
+	if len(spans) != maxSpans {
+		t.Fatalf("kept %d span records, want the cap %d", len(spans), maxSpans)
+	}
+	for i, s := range spans {
+		if s.Name != "tail" || s.Span != uint64(i+1) {
+			t.Fatalf("record %d is %s span %d, want tail span %d", i, s.Name, s.Span, i+1)
+		}
+	}
+	rec := httptest.NewRecorder()
+	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		fmt.Sprintf("\njob_count %d\n", workers*each),
+		fmt.Sprintf("\ntail_count %d\n", maxSpans),
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, rec.Body.String())
+		}
+	}
+	var buf bytes.Buffer
+	r.WriteSummary(&buf)
+	if want := fmt.Sprintf("(%d earlier spans not kept)", workers*each); !strings.Contains(buf.String(), want) {
+		t.Errorf("summary lacks %q:\n%.300s", want, buf.String())
 	}
 }

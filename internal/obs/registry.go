@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +24,10 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	spanMu sync.Mutex
-	spans  []SpanRecord
+	spanMu     sync.Mutex
+	spans      []SpanRecord         // the last maxSpans ended spans, a ring once full
+	spanEnded  int64                // spans ended so far
+	spanTotals map[string]spanTotal // count and duration of every ended span, per name
 
 	// spanSeq allocates span ids for trace-linked spans (StartSpanCtx).
 	// Ids are unique per registry and never reused, so a JSONL consumer
@@ -39,13 +42,25 @@ type metricEntry struct {
 	name string
 }
 
+// maxSpans bounds the span records a registry keeps. A long-lived
+// registry (the daemon's) ends spans without limit; past the cap the
+// oldest records are dropped, while spanTotals still counts every span.
+const maxSpans = 4096
+
+type spanTotal struct {
+	name  string
+	count int64
+	total time.Duration
+}
+
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		start:    time.Now(),
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		start:      time.Now(),
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		hists:      make(map[string]*Histogram),
+		spanTotals: make(map[string]spanTotal),
 	}
 }
 
@@ -141,12 +156,21 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.r.spanMu.Lock()
-	s.r.spans = append(s.r.spans, SpanRecord{
+	rec := SpanRecord{
 		Name: s.name, Start: s.start, Duration: d,
 		Trace: s.trace, Span: s.span, Parent: s.parent,
-	})
-	s.r.spanMu.Unlock()
+	}
+	r := s.r
+	r.spanMu.Lock()
+	if len(r.spans) < maxSpans {
+		r.spans = append(r.spans, rec)
+	} else {
+		r.spans[r.spanEnded%maxSpans] = rec
+	}
+	r.spanEnded++
+	t := r.spanTotals[s.name]
+	r.spanTotals[s.name] = spanTotal{name: s.name, count: t.count + 1, total: t.total + d}
+	r.spanMu.Unlock()
 	switch {
 	case s.trace == "":
 		s.r.Emit("span", Str("name", s.name), Int("dur_us", d.Microseconds()))
@@ -160,15 +184,40 @@ func (s *Span) End() time.Duration {
 	return d
 }
 
-// Spans returns the completed spans in end order.
+// Spans returns the most recent completed spans, at most maxSpans of
+// them, in end order.
 func (r *Registry) Spans() []SpanRecord {
 	if r == nil {
 		return nil
 	}
+	spans, _ := r.recentSpans()
+	return spans
+}
+
+// recentSpans copies the kept span records in end order and counts the
+// older ones the ring has dropped.
+func (r *Registry) recentSpans() (spans []SpanRecord, dropped int64) {
 	r.spanMu.Lock()
 	defer r.spanMu.Unlock()
-	out := make([]SpanRecord, len(r.spans))
-	copy(out, r.spans)
+	// Until the ring fills, spanEnded == len(r.spans) and this splits at
+	// the end; after, the oldest record sits at spanEnded % maxSpans.
+	oldest := int(r.spanEnded % maxSpans)
+	spans = make([]SpanRecord, 0, len(r.spans))
+	spans = append(spans, r.spans[oldest:]...)
+	spans = append(spans, r.spans[:oldest]...)
+	return spans, r.spanEnded - int64(len(r.spans))
+}
+
+// spanTotalsByName copies the per-name totals of every ended span,
+// sorted by name.
+func (r *Registry) spanTotalsByName() []spanTotal {
+	r.spanMu.Lock()
+	out := make([]spanTotal, 0, len(r.spanTotals))
+	for _, t := range r.spanTotals {
+		out = append(out, t)
+	}
+	r.spanMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 

@@ -3,24 +3,26 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
 
-// WriteSummary renders the registry as a human-readable report: completed
-// spans (in end order, with per-name totals when a name repeats), then
-// counters, gauges, and histograms in registration order. This is what
-// the CLIs print under -metrics.
+// WriteSummary renders the registry as a human-readable report: the
+// kept spans in end order (with a count of the older ones dropped past
+// maxSpans), then counters, gauges, and histograms in registration
+// order. This is what the CLIs print under -metrics.
 func (r *Registry) WriteSummary(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	spans := r.Spans()
+	spans, dropped := r.recentSpans()
 	cs, gs, hs := r.views()
 
 	if len(spans) > 0 {
 		fmt.Fprintln(w, "-- spans ----------------------------------------")
+		if dropped > 0 {
+			fmt.Fprintf(w, "  (%d earlier spans not kept)\n", dropped)
+		}
 		for _, s := range spans {
 			fmt.Fprintf(w, "  %-40s %12s\n", s.Name, fmtDuration(s.Duration))
 		}
@@ -71,9 +73,9 @@ func fmtDuration(d time.Duration) string {
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): counters and gauges as-is, histograms with
-// cumulative _bucket/_sum/_count series, and spans aggregated per name as
-// <name>_seconds_total and <name>_count. Metric names are sanitized to
-// the Prometheus grammar.
+// cumulative _bucket/_sum/_count series, and every ended span (kept or
+// not) aggregated per name as <name>_seconds_total and <name>_count.
+// Metric names are sanitized to the Prometheus grammar.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -101,29 +103,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, cum)
 		fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", n, s.Sum, n, s.Count)
 	}
-	// Aggregate spans per name for a scrape-friendly view.
-	type agg struct {
-		total time.Duration
-		count int64
-	}
-	byName := make(map[string]*agg)
-	var names []string
-	for _, s := range r.Spans() {
-		a, ok := byName[s.Name]
-		if !ok {
-			a = &agg{}
-			byName[s.Name] = a
-			names = append(names, s.Name)
-		}
-		a.total += s.Duration
-		a.count++
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		n := promName(name)
-		a := byName[name]
-		fmt.Fprintf(w, "# TYPE %s_seconds_total counter\n%s_seconds_total %g\n", n, n, a.total.Seconds())
-		fmt.Fprintf(w, "# TYPE %s_count counter\n%s_count %d\n", n, n, a.count)
+	for _, t := range r.spanTotalsByName() {
+		n := promName(t.name)
+		fmt.Fprintf(w, "# TYPE %s_seconds_total counter\n%s_seconds_total %g\n", n, n, t.total.Seconds())
+		fmt.Fprintf(w, "# TYPE %s_count counter\n%s_count %d\n", n, n, t.count)
 	}
 	return nil
 }

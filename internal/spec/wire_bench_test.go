@@ -14,7 +14,10 @@ import (
 // 100k-step trace pre-encoded in each wire format. The delta between
 // the sub-benchmarks is pure decode cost — the Monitor work is
 // identical — so this measures what the binary format buys a checking
-// client end to end.
+// client end to end. The recorded figures (history) came from
+// `go test -run '^$' -bench 'BenchmarkStreamCheck$' -benchmem
+// ./internal/spec`; ksabench's daemon workload measures the check path
+// today.
 func BenchmarkStreamCheck(b *testing.B) {
 	tr := benchTrace(5, 100_000)
 	steps := tr.X.Len()

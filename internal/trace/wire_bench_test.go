@@ -33,6 +33,38 @@ func wireBenchTrace(n, steps int) *Trace {
 	return tr
 }
 
+// TestBinaryDecodeAllocatesLessThanOncePerStep pins the binary reader's
+// allocation profile on the broadcast-shaped trace: a full pass
+// allocates less than once per step (about 0.14, the interned payload
+// literals; JSONL allocates about 1.9 times per step).
+func TestBinaryDecodeAllocatesLessThanOncePerStep(t *testing.T) {
+	tr := wireBenchTrace(5, 100_000)
+	var bin bytes.Buffer
+	if err := tr.EncodeBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	steps := tr.X.Len()
+	allocs := testing.AllocsPerRun(1, func() {
+		sr, err := NewBinaryReader(bytes.NewReader(bin.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; ; got++ {
+			if _, err := sr.Next(); err == io.EOF {
+				if got != steps {
+					t.Fatalf("decoded %d steps, want %d", got, steps)
+				}
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perStep := allocs / float64(steps); perStep >= 1 {
+		t.Errorf("binary decode allocates %.3f times per step, want < 1", perStep)
+	}
+}
+
 // BenchmarkWireDecode is the pure decode comparison between the two
 // wire formats: one full pass of a step reader over a pre-encoded
 // 100k-step trace, no checking. The binary path's block decode +

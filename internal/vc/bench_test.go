@@ -107,11 +107,32 @@ var clocks8 = []VC{
 	{1 << 40, 3, 1 << 20, 0, 5, 77, 123456, 9},
 }
 
+// TestEncodeDecodeAllocatesLessThanOld pins the allocation win the
+// overhaul was for: an Encode+Decode round trip allocates less than the
+// old fmt/strings pair (3 against 34 allocs per 8-process clock).
+func TestEncodeDecodeAllocatesLessThanOld(t *testing.T) {
+	roundTrips := func(encode func(VC) string, decode func(string) (VC, error)) float64 {
+		return testing.AllocsPerRun(100, func() {
+			for _, v := range clocks8 {
+				if _, err := decode(encode(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	newAllocs := roundTrips(VC.Encode, Decode)
+	oldAllocs := roundTrips(oldEncode, oldDecode)
+	if newAllocs >= oldAllocs {
+		t.Errorf("Encode+Decode allocate %v per %d clocks, the old pair %v; want fewer", newAllocs, len(clocks8), oldAllocs)
+	}
+}
+
 // BenchmarkVCEncodeDecode measures one encode+decode round trip per op —
 // the per-message cost the causal automaton pays on the wire path. The
 // "old" sub-benchmark runs the pre-overhaul fmt/strings implementation,
-// "new" the strconv.AppendUint + index-scanning one; `make bench-pr4`
-// records both in BENCH_PR4.json.
+// "new" the strconv.AppendUint + index-scanning one. The recorded figures
+// (history) came from `go test -run '^$' -bench 'BenchmarkVCEncodeDecode$'
+// -benchmem ./internal/vc`; ksabench measures the repository end to end.
 func BenchmarkVCEncodeDecode(b *testing.B) {
 	b.Run("old", func(b *testing.B) {
 		b.ReportAllocs()
