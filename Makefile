@@ -126,6 +126,9 @@ profile-feed:
 fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzStepReader$$' -fuzztime 15s ./internal/trace
 	go test -run '^$$' -fuzz 'FuzzFrame$$' -fuzztime 15s ./internal/nettcp
+	go test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 10s ./internal/broadcast
+	go test -run '^$$' -fuzz 'FuzzDecodeRecs$$' -fuzztime 10s ./internal/broadcast
+	go test -run '^$$' -fuzz 'FuzzAutomataOnGarbage$$' -fuzztime 10s ./internal/broadcast
 
 outputs:
 	go test ./... 2>&1 | tee test_output.txt

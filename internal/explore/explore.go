@@ -75,7 +75,8 @@ type Options struct {
 	// Obs, when non-nil, receives exploration instrumentation (counters
 	// explore.schedules / explore.violations / explore.steps /
 	// explore.minimize_replays, histogram explore.min_len) on top of the
-	// sweep's own metrics.
+	// sweep's own metrics and the sched.* metrics of every search and
+	// minimization run.
 	Obs *obs.Registry
 }
 
@@ -195,6 +196,7 @@ func (e *engine) runtime() (*sched.Runtime, error) {
 		NewApp:       e.cand.SolverFor(),
 		Inputs:       e.inputs,
 		LiveSpecs:    []spec.Spec{e.cand.Spec(e.opts.K), spec.KSA(e.opts.K)},
+		Obs:          e.opts.Obs,
 	})
 }
 

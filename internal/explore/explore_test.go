@@ -10,6 +10,7 @@ import (
 
 	"nobroadcast/internal/broadcast"
 	"nobroadcast/internal/model"
+	"nobroadcast/internal/obs"
 	"nobroadcast/internal/sched"
 	"nobroadcast/internal/spec"
 	"nobroadcast/internal/trace"
@@ -177,6 +178,33 @@ func TestExploreFindsKBO(t *testing.T) {
 				t.Fatalf("batch re-check of minimized kbo trace: %v", v)
 			}
 		})
+	}
+}
+
+// TestExploreRecordsSchedMetrics: an exploration given a registry passes
+// it to its runtimes, so the registry holds sched.* metrics, and the
+// Result is the one an uninstrumented run returns.
+func TestExploreRecordsSchedMetrics(t *testing.T) {
+	o := smokeOptions()
+	o.Obs = obs.New()
+	res, err := Run(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := o.Obs.Counter("sched.steps").Value(); n <= 0 {
+		t.Errorf("sched.steps = %d, want > 0", n)
+	}
+	if n := o.Obs.Histogram("sched.pending_depth").Snapshot().Count; n == 0 {
+		t.Error("sched.pending_depth is empty")
+	}
+	bare, err := Run(context.Background(), smokeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(res)
+	want, _ := json.Marshal(bare)
+	if !bytes.Equal(got, want) {
+		t.Error("the registry changed the Result")
 	}
 }
 
