@@ -129,6 +129,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 10s ./internal/broadcast
 	go test -run '^$$' -fuzz 'FuzzDecodeRecs$$' -fuzztime 10s ./internal/broadcast
 	go test -run '^$$' -fuzz 'FuzzAutomataOnGarbage$$' -fuzztime 10s ./internal/broadcast
+	go test -run '^$$' -fuzz 'FuzzConflictStream$$' -fuzztime 10s ./internal/spec
 
 outputs:
 	go test ./... 2>&1 | tee test_output.txt

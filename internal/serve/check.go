@@ -33,10 +33,11 @@ type checkVerdict struct {
 // one verdict line per spec, and a summary line. The upload format is
 // negotiated by Content-Type: application/x-ksatrace is decoded as wire
 // format v1 (the fast path), anything else is sniffed, so both binary
-// and JSONL bodies work with or without the header. Checks are
-// admission-controlled managed jobs like runs, but uncached: the input
-// arrives in the request body, so there is no parameter hash to key a
-// cache by.
+// and JSONL bodies work with or without the header. A header declaring
+// more than maxCheckProcs processes is a 400 before any checker is built.
+// Checks are admission-controlled managed jobs like runs, but uncached:
+// the input arrives in the request body, so there is no parameter hash to
+// key a cache by.
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { s.totalUS.Observe(time.Since(t0).Microseconds()) }()
@@ -119,6 +120,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxCheckProcs bounds the process count a /v1/check upload may declare.
+// Every selected checker is built for that many processes before the
+// first step is read, so an unbounded count in a header of a few bytes
+// could claim the daemon's memory.
+const maxCheckProcs = 4096
+
 // runCheck streams one uploaded trace through the selected checkers,
 // accounting the decode time (header parse plus every Next call) to
 // serve.check_decode_us — on large JSONL uploads decode dominates the
@@ -141,33 +148,27 @@ func (s *Server) runCheck(ctx context.Context, specName string, k int, contentTy
 		return jobOutput{}, err
 	}
 	hdr := sr.Header()
+	if hdr.N > maxCheckProcs {
+		return jobOutput{}, fmt.Errorf("trace declares %d processes, at most %d accepted", hdr.N, maxCheckProcs)
+	}
 
 	// Verdict lines carry the registry key (the name a client selects
 	// by), not the spec's display name.
-	type selected struct {
-		key string
-		sp  spec.Spec
-	}
-	var specs []selected
+	var keys []string
+	var specs []spec.Spec
 	if specName == "all" {
 		for _, e := range spec.Registry() {
-			specs = append(specs, selected{e.Key, e.New(k)})
+			keys = append(keys, e.Key)
+			specs = append(specs, e.New(k))
 		}
 	} else {
 		sp, err := spec.ByName(specName, k)
 		if err != nil {
 			return jobOutput{}, err
 		}
-		specs = append(specs, selected{specName, sp})
+		keys, specs = []string{specName}, []spec.Spec{sp}
 	}
-	checkers := make([]spec.Checker, len(specs))
-	verdicts := make([]checkVerdict, len(specs))
-	for i, sel := range specs {
-		checkers[i] = spec.NewCheckerFor(sel.sp, hdr.N)
-		verdicts[i] = checkVerdict{Spec: sel.key, LatchedStep: -1}
-	}
-
-	steps := 0
+	mon := spec.NewMonitor(hdr.N, specs...)
 	for {
 		nextStart := time.Now()
 		st, err := sr.Next()
@@ -178,35 +179,14 @@ func (s *Server) runCheck(ctx context.Context, specName string, k int, contentTy
 		if err != nil {
 			return jobOutput{}, err
 		}
-		for i := range checkers {
-			if verdicts[i].Rejected {
-				continue
-			}
-			if v := checkers[i].Feed(st); v != nil {
-				verdicts[i].Rejected = true
-				verdicts[i].Violation = v.String()
-				verdicts[i].LatchedStep = steps
-			}
-		}
-		steps++
-		if steps%4096 == 0 {
+		mon.Feed(st)
+		if mon.Steps()%4096 == 0 {
 			if err := ctx.Err(); err != nil {
 				return jobOutput{}, err
 			}
 		}
 	}
-	rejected := 0
-	for i := range checkers {
-		if !verdicts[i].Rejected {
-			if v := checkers[i].Finish(hdr.Complete); v != nil {
-				verdicts[i].Rejected = true
-				verdicts[i].Violation = v.String()
-			}
-		}
-		if verdicts[i].Rejected {
-			rejected++
-		}
-	}
+	mon.Finish(hdr.Complete)
 
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -215,13 +195,19 @@ func (s *Server) runCheck(ctx context.Context, specName string, k int, contentTy
 	}); err != nil {
 		return jobOutput{}, err
 	}
-	for i := range verdicts {
-		if err := enc.Encode(&verdicts[i]); err != nil {
+	rejected := 0
+	for i, v := range mon.Verdicts() {
+		line := checkVerdict{Spec: keys[i], LatchedStep: v.StepIdx}
+		if v.Violation != nil {
+			line.Rejected, line.Violation = true, v.Violation.String()
+			rejected++
+		}
+		if err := enc.Encode(&line); err != nil {
 			return jobOutput{}, err
 		}
 	}
 	if err := enc.Encode(map[string]any{
-		"steps": steps, "specs": len(verdicts), "rejected": rejected,
+		"steps": mon.Steps(), "specs": len(keys), "rejected": rejected,
 	}); err != nil {
 		return jobOutput{}, err
 	}

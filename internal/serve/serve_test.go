@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -513,6 +514,43 @@ func TestCheckEndpoint(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/check?spec=nope", "")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown spec: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestCheckBoundsDeclaredProcs: an upload's header alone decides how
+// large every checker is built, so a header declaring more than
+// maxCheckProcs processes is answered 400 before any checker exists. A
+// header-only upload declaring 65,536 processes must cost the handler
+// well under the tens of MiB the checkers would take; one at the bound
+// is still checked.
+func TestCheckBoundsDeclaredProcs(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2})
+	check := func(n int) (*httptest.ResponseRecorder, uint64) {
+		body := fmt.Sprintf("{\"n\":%d,\"complete\":false}\n", n)
+		req := httptest.NewRequest(http.MethodPost, "/v1/check?spec=all&k=2", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		return rec, after.TotalAlloc - before.TotalAlloc
+	}
+	rec, alloc := check(65_536)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "at most 4096") {
+		t.Fatalf("n=65536: status %d, body %s", rec.Code, rec.Body)
+	}
+	if alloc >= 4<<20 {
+		t.Fatalf("n=65536: the rejected upload allocated %d bytes, want under 4 MiB", alloc)
+	}
+	if rec, _ := check(maxCheckProcs + 1); rec.Code != http.StatusBadRequest {
+		t.Fatalf("n=%d: status %d, want 400", maxCheckProcs+1, rec.Code)
+	}
+	rec, _ = check(maxCheckProcs)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("n=%d: status %d, body %s", maxCheckProcs, rec.Code, rec.Body)
+	}
+	if sum, err := summaryLine(rec.Body.Bytes()); err != nil || sum["steps"].(float64) != 0 {
+		t.Fatalf("n=%d: summary %v (%v)", maxCheckProcs, sum, err)
 	}
 }
 

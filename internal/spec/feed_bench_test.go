@@ -8,9 +8,11 @@ import (
 // registered spec's online checker, streaming the same admissible trace
 // through each. This is the checker hot path the serving layer sits on
 // (every /v1/check and every net-runtime live monitor is a Feed loop),
-// and the profile target behind `make profile-feed`. 20k steps keeps the
-// total-order family — whose online form is quadratic in delivered
-// messages, visibly so in this table — under a second per pass.
+// and the profile target behind `make profile-feed`. The trace orders
+// every message identically at every process, so the conflict family
+// (total order, k-BO, SCD, k-SCD) takes the order tracker's early exit on
+// each first delivery and, like every other spec, costs time linear in
+// the trace; only traces where pairs disagree on order make it rescan.
 func BenchmarkCheckerFeed(b *testing.B) {
 	const n, k = 5, 2
 	tr := benchTrace(n, 20_000)

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -251,58 +252,89 @@ func (c *causalChecker) Feed(s model.Step) *Violation {
 
 func (c *causalChecker) Finish(bool) *Violation { return c.v }
 
-// orderTracker maintains the per-process order key of each first delivery
-// and, per process pair, the list of messages both have delivered. When a
-// message becomes common to a pair, one linear scan over the pair's
-// previously-common messages finds every newly-created opposite-order
-// conflict — the online replacement for the batch all-pairs scan.
+// orderTracker keeps, per process pair, the messages both have
+// first-delivered, each with its order key at both processes, and finds
+// the opposite-order conflicts a message creates when it becomes common
+// to the pair — the online replacement for the batch all-pairs scan.
+//
+// A new common message m conflicts with an earlier common message only if
+// one process of the pair orders m strictly after it and the other
+// strictly before it. So each pair also keeps two running maxima: the
+// largest key each process holds over the pair's common messages. When
+// both keys for m are at least those maxima (m is the newest common
+// message at both processes), no conflict can exist and observe skips the
+// scan, so on a trace where every pair orders its common messages alike a
+// first delivery costs O(processes that delivered m), whatever the number
+// of common messages. Otherwise observe scans the pair's whole common list:
+// for a parked delivery released behind newer keys when its broadcast
+// arrives late, and for any pair where a conflict is possible. It thus
+// reports exactly the conflicts, in the same order, that scanning every
+// pair's common list on every first delivery would.
 type orderTracker struct {
-	n      int
-	pos    []map[model.MsgID]int
-	common map[pairPQ][]model.MsgID
+	pairs map[pairPQ]*orderPair
 }
 
-type pairPQ struct{ p, q model.ProcID }
+type pairPQ struct{ p, q model.ProcID } // p < q
 
-func newOrderTracker(n int) *orderTracker {
-	t := &orderTracker{n: n, pos: make([]map[model.MsgID]int, n+1), common: make(map[pairPQ][]model.MsgID)}
-	for p := 1; p <= n; p++ {
-		t.pos[p] = make(map[model.MsgID]int)
-	}
-	return t
+// orderPair is one pair's common messages, in the order they became
+// common, and the running maxima of each side's keys over them (index 0 is
+// the lower process, 1 the higher).
+type orderPair struct {
+	common []commonMsg
+	max    [2]int
 }
 
-// observe registers the first delivery of m by p with the given order key
-// and returns the conflicts it creates. Keys are compared strictly, so
+type commonMsg struct {
+	m   model.MsgID
+	key [2]int
+}
+
+// procKey is one process's order key for a message.
+type procKey struct {
+	p   model.ProcID
+	key int
+}
+
+// observe registers the first delivery of m by p with the given order key.
+// dels holds the other processes' first deliveries of m, ascending by
+// process (an entry for p itself is skipped); m becomes common to p and
+// each of them. It returns the conflicts this creates, pair by pair in
+// ascending order of the other process. Keys are compared strictly, so
 // equal keys (messages in the same delivered set, SCD mode) conflict with
 // nothing — matching the batch predicates.
-func (t *orderTracker) observe(p model.ProcID, m model.MsgID, key int) []conflict {
-	t.pos[p][m] = key
+func (t *orderTracker) observe(p model.ProcID, m model.MsgID, key int, dels []procKey) []conflict {
 	var out []conflict
-	for qn := 1; qn <= t.n; qn++ {
-		q := model.ProcID(qn)
+	for _, d := range dels {
+		q := d.p
 		if q == p {
 			continue
 		}
-		kq, ok := t.pos[q][m]
-		if !ok {
-			continue
-		}
-		pk := pairPQ{p, q}
+		pk, sp, sq := pairPQ{p, q}, 0, 1
 		if q < p {
-			pk = pairPQ{q, p}
+			pk, sp, sq = pairPQ{q, p}, 1, 0
 		}
-		for _, prev := range t.common[pk] {
-			dp := key - t.pos[p][prev]
-			dq := kq - t.pos[q][prev]
-			switch {
-			case dp > 0 && dq < 0: // prev before m at p, m before prev at q
-				out = append(out, conflict{a: prev, b: m, p: p, q: q})
-			case dp < 0 && dq > 0:
-				out = append(out, conflict{a: m, b: prev, p: p, q: q})
+		pr := t.pairs[pk]
+		if pr == nil {
+			pr = &orderPair{}
+			t.pairs[pk] = pr
+		}
+		if key < pr.max[sp] || d.key < pr.max[sq] {
+			for _, c := range pr.common {
+				dp := key - c.key[sp]
+				dq := d.key - c.key[sq]
+				switch {
+				case dp > 0 && dq < 0: // c before m at p, m before c at q
+					out = append(out, conflict{a: c.m, b: m, p: p, q: q})
+				case dp < 0 && dq > 0:
+					out = append(out, conflict{a: m, b: c.m, p: p, q: q})
+				}
 			}
 		}
-		t.common[pk] = append(t.common[pk], m)
+		var keys [2]int
+		keys[sp], keys[sq] = key, d.key
+		pr.common = append(pr.common, commonMsg{m: m, key: keys})
+		pr.max[sp] = max(pr.max[sp], key)
+		pr.max[sq] = max(pr.max[sq], d.key)
 	}
 	return out
 }
@@ -313,60 +345,91 @@ func (t *orderTracker) observe(p model.ProcID, m model.MsgID, key int) []conflic
 // not-yet-broadcast messages until the broadcast arrives — the batch
 // predicates scan broadcast messages only, so conflicts involving a
 // message only exist once it is broadcast.
+//
+// Its state is dense: each MsgID is interned once into a slot, so a step
+// costs one map lookup, and the slot holds the message's first deliveries
+// in ascending process order — parked ones included, so the broadcast
+// releases them in that order without a sort. Per-process counters grow
+// with the largest process that delivers, and pair state is made on first
+// use, so nothing is sized by n, or n², up front.
 type conflictStream struct {
-	n   int
-	trk *orderTracker
+	n int
 	// scd selects delivered-set ordinal keys (batchIndex semantics: the
 	// ordinal advances on every delivery whose Batch tag is zero or
 	// differs from the previous delivery's).
-	scd            bool
-	dcount         []int
-	curBatch       []int64
-	ord            []int
-	seen           []map[model.MsgID]bool
-	known          map[model.MsgID]bool
-	pendingUnknown map[model.MsgID]map[model.ProcID]int
+	scd   bool
+	trk   orderTracker
+	ids   map[model.MsgID]int
+	msgs  []msgSlot
+	procs []streamProc
+}
+
+// msgSlot is one message's state: whether its broadcast has been seen,
+// and the first deliveries by p1..pn, ascending by process (parked while
+// the broadcast has not been seen).
+type msgSlot struct {
+	known bool
+	dels  []procKey
+}
+
+// streamProc is one process's key counter: its delivery count, or in SCD
+// mode its current delivered-set ordinal and that set's Batch tag.
+type streamProc struct {
+	next  int
+	batch int64
 }
 
 func newConflictStream(n int, scd bool) *conflictStream {
-	f := &conflictStream{
-		n:              n,
-		trk:            newOrderTracker(n),
-		scd:            scd,
-		dcount:         make([]int, n+1),
-		curBatch:       make([]int64, n+1),
-		ord:            make([]int, n+1),
-		seen:           make([]map[model.MsgID]bool, n+1),
-		known:          make(map[model.MsgID]bool),
-		pendingUnknown: make(map[model.MsgID]map[model.ProcID]int),
+	return &conflictStream{
+		n:   n,
+		scd: scd,
+		trk: orderTracker{pairs: make(map[pairPQ]*orderPair)},
+		ids: make(map[model.MsgID]int),
 	}
-	for p := 1; p <= n; p++ {
-		f.seen[p] = make(map[model.MsgID]bool)
+}
+
+// slot returns m's slot, interning m on first sight.
+func (f *conflictStream) slot(m model.MsgID) *msgSlot {
+	i, ok := f.ids[m]
+	if !ok {
+		i = len(f.msgs)
+		f.ids[m] = i
+		f.msgs = append(f.msgs, msgSlot{})
 	}
-	return f
+	return &f.msgs[i]
+}
+
+// key assigns the order key of p's next delivery.
+func (f *conflictStream) key(p model.ProcID, batch int64) int {
+	if int(p) >= len(f.procs) {
+		f.procs = append(f.procs, make([]streamProc, int(p)+1-len(f.procs))...)
+	}
+	st := &f.procs[p]
+	if !f.scd {
+		st.next++
+		return st.next - 1
+	}
+	if batch == 0 || batch != st.batch {
+		st.next++
+		st.batch = batch
+	}
+	return st.next
 }
 
 // step consumes one step and returns the new conflicts it creates.
 func (f *conflictStream) step(s model.Step) []conflict {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
-		if f.known[s.Msg] {
+		ms := f.slot(s.Msg)
+		if ms.known {
 			return nil
 		}
-		f.known[s.Msg] = true
-		pu := f.pendingUnknown[s.Msg]
-		if pu == nil {
-			return nil
-		}
-		delete(f.pendingUnknown, s.Msg)
-		procs := make([]model.ProcID, 0, len(pu))
-		for p := range pu {
-			procs = append(procs, p)
-		}
-		sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
+		ms.known = true
+		// Release the parked deliveries, each observed against the ones
+		// released before it.
 		var out []conflict
-		for _, p := range procs {
-			out = append(out, f.trk.observe(p, s.Msg, pu[p])...)
+		for i, d := range ms.dels {
+			out = append(out, f.trk.observe(d.p, s.Msg, d.key, ms.dels[:i])...)
 		}
 		return out
 	case model.KindDeliver:
@@ -374,31 +437,23 @@ func (f *conflictStream) step(s model.Step) []conflict {
 		if p < 1 || int(p) > f.n {
 			return nil // outside p1..pn: the batch pair scan ignores it
 		}
-		var key int
-		if f.scd {
-			if s.Batch == 0 || s.Batch != f.curBatch[p] {
-				f.ord[p]++
-				f.curBatch[p] = s.Batch
-			}
-			key = f.ord[p]
-		} else {
-			key = f.dcount[p]
-			f.dcount[p]++
+		key := f.key(p, s.Batch)
+		ms := f.slot(s.Msg)
+		i := 0
+		for i < len(ms.dels) && ms.dels[i].p < p {
+			i++
 		}
-		if f.seen[p][s.Msg] {
+		if i < len(ms.dels) && ms.dels[i].p == p {
 			return nil
 		}
-		f.seen[p][s.Msg] = true
-		if !f.known[s.Msg] {
-			pu := f.pendingUnknown[s.Msg]
-			if pu == nil {
-				pu = make(map[model.ProcID]int)
-				f.pendingUnknown[s.Msg] = pu
-			}
-			pu[p] = key
+		if ms.dels == nil { // room for every process, when there are few
+			ms.dels = make([]procKey, 0, min(f.n, 8))
+		}
+		ms.dels = slices.Insert(ms.dels, i, procKey{p: p, key: key})
+		if !ms.known {
 			return nil
 		}
-		return f.trk.observe(p, s.Msg, key)
+		return f.trk.observe(p, s.Msg, key, ms.dels)
 	}
 	return nil
 }
