@@ -130,6 +130,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzDecodeRecs$$' -fuzztime 10s ./internal/broadcast
 	go test -run '^$$' -fuzz 'FuzzAutomataOnGarbage$$' -fuzztime 10s ./internal/broadcast
 	go test -run '^$$' -fuzz 'FuzzConflictStream$$' -fuzztime 10s ./internal/spec
+	go test -run '^$$' -fuzz 'FuzzSpecMonitor$$' -fuzztime 10s ./internal/spec
 
 outputs:
 	go test ./... 2>&1 | tee test_output.txt

@@ -62,7 +62,7 @@ func run(args []string, out, errw io.Writer) int {
 func specByName(name string, k int) (spec.Spec, error) {
 	s, err := spec.ByName(name, k)
 	if err != nil {
-		return nil, fmt.Errorf("%w (known: %s)", err, strings.Join(spec.Names(), ", "))
+		return spec.Spec{}, fmt.Errorf("%w (known: %s)", err, strings.Join(spec.Names(), ", "))
 	}
 	return s, nil
 }

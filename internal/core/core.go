@@ -301,8 +301,7 @@ func RunImpossibility(c broadcast.Candidate, k int, opts Options) (*Result, erro
 	// Stage 4: does the candidate's spec admit β? The derived traces are
 	// judged by streaming each once through the spec's online checker
 	// (checkStreaming) — a violation's step index then points into the
-	// derived trace, and candidate specs without a streaming form still
-	// work through the buffered fallback.
+	// derived trace.
 	s := c.Spec(k)
 	betaSpan := reg.StartSpan("pipeline.spec-beta")
 	v := checkStreaming(s, adv.Beta)
@@ -386,9 +385,9 @@ func RunImpossibility(c broadcast.Candidate, k int, opts Options) (*Result, erro
 }
 
 // checkStreaming judges a trace by streaming it once through the spec's
-// online checker. Equivalent to s.Check for the specs this repo defines
-// (their Check is the same adapter), but also gives candidate-supplied
-// batch-only specs a uniform entry point via the buffered fallback.
+// online checker, which blames the leaf violated earliest. s.Check agrees
+// on admissibility but blames a composite's first violated leaf in
+// declaration order, so the Detail of a rejection can differ from it.
 func checkStreaming(s spec.Spec, t *trace.Trace) *spec.Violation {
 	return spec.RunChecker(spec.NewCheckerFor(s, t.X.N), t)
 }

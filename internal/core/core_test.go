@@ -366,27 +366,12 @@ func TestPipelineWithDepthSolver(t *testing.T) {
 // TestImplementationIncorrectClassified (stage 4): a candidate whose own
 // specification rejects the adversarial β is classified as an incorrect
 // implementation — the k-SA → B direction of the equivalence fails. The
-// artificial spec forbids more than one broadcast per process, which the
-// N = 2 construction (forced by a depth-2 solver)violates.
+// First-1 order allows one distinct first-delivered message, which the
+// N = 2 construction (forced by a depth-2 solver) violates: "First-1-Order:
+// First-k violated at step 8".
 func TestImplementationIncorrectClassified(t *testing.T) {
-	onePerProc := spec.Func{
-		SpecName: "one-broadcast-per-process",
-		CheckFn: func(tr *trace.Trace) *spec.Violation {
-			counts := make(map[model.ProcID]int)
-			for i, s := range tr.X.Steps {
-				if s.Kind == model.KindBroadcastInvoke {
-					counts[s.Proc]++
-					if counts[s.Proc] > 1 {
-						return &spec.Violation{Spec: "one-broadcast-per-process", Property: "One-Per-Process",
-							Detail: "second broadcast", StepIdx: i}
-					}
-				}
-			}
-			return nil
-		},
-	}
 	c := mustCandidate(t, "send-to-all")
-	c.Spec = func(int) spec.Spec { return onePerProc }
+	c.Spec = func(int) spec.Spec { return spec.FirstKOrder(1) }
 	c.NewSolver = broadcast.NewDepthDecider(2) // forces N = 2
 	res, err := core.RunImpossibility(c, 2, core.Options{})
 	if err != nil {
@@ -394,6 +379,9 @@ func TestImplementationIncorrectClassified(t *testing.T) {
 	}
 	if res.Outcome != core.OutcomeImplementationIncorrect {
 		t.Errorf("outcome = %v (%s)", res.Outcome, res.Detail)
+	}
+	if want := "First-1-Order: First-k violated at step 8"; !strings.HasPrefix(res.Detail, want) {
+		t.Errorf("detail = %q, want prefix %q", res.Detail, want)
 	}
 	if res.Gamma != nil {
 		t.Error("gamma should not be built when beta is already rejected")

@@ -1,11 +1,6 @@
 package spec
 
-import (
-	"fmt"
-
-	"nobroadcast/internal/model"
-	"nobroadcast/internal/trace"
-)
+import "fmt"
 
 // BasicBroadcast checks the four properties every broadcast abstraction
 // must verify (Section 3.1): BC-Validity and BC-No-Duplication (safety),
@@ -13,96 +8,13 @@ import (
 // on complete traces only). In the model CAMP_n[∅] this specification alone
 // is the Send-To-All broadcast.
 func BasicBroadcast() Spec {
-	return streamSpec{name: "Basic-Broadcast", batch: checkBasicBroadcast,
-		mk: func(n int) Checker { return newBasicChecker(n) }}
+	return leafSpec("Basic-Broadcast", func(n int) leafChecker { return newBasicChecker(n) })
 }
 
 // SendToAll is the basic broadcast under its usual name: it admits exactly
 // the executions satisfying the four universal properties.
 func SendToAll() Spec {
-	return streamSpec{name: "Send-To-All", batch: checkBasicBroadcast,
-		mk: func(n int) Checker { return newBasicChecker(n) }}
-}
-
-func checkBasicBroadcast(t *trace.Trace) *Violation {
-	x := t.X
-
-	// BC-Validity: if p B-delivers m from q, then q previously B-broadcast
-	// m. "Previously" is positional: the invocation appears earlier.
-	broadcast := make(map[model.MsgID]model.ProcID)
-	payloadAt := make(map[model.MsgID]model.Payload)
-	delivered := make(map[model.ProcID]map[model.MsgID]bool)
-	for i, s := range x.Steps {
-		switch s.Kind {
-		case model.KindBroadcastInvoke:
-			if from, dup := broadcast[s.Msg]; dup {
-				return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
-					Detail: fmt.Sprintf("message m%d broadcast twice (by %v and %v); broadcast messages are unique", s.Msg, from, s.Proc), StepIdx: i}
-			}
-			broadcast[s.Msg] = s.Proc
-			payloadAt[s.Msg] = s.Payload
-		case model.KindDeliver:
-			from, ok := broadcast[s.Msg]
-			if !ok {
-				return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
-					Detail: fmt.Sprintf("%v B-delivers m%d from %v, never broadcast", s.Proc, s.Msg, s.Peer), StepIdx: i}
-			}
-			if from != s.Peer {
-				return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
-					Detail: fmt.Sprintf("%v B-delivers m%d from %v, but m%d was broadcast by %v", s.Proc, s.Msg, s.Peer, s.Msg, from), StepIdx: i}
-			}
-			if got, want := s.Payload, payloadAt[s.Msg]; got != want {
-				return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
-					Detail: fmt.Sprintf("%v B-delivers m%d with content %q, broadcast with %q", s.Proc, s.Msg, got, want), StepIdx: i}
-			}
-			// BC-No-Duplication: a process does not B-deliver the same
-			// message more than once.
-			dm := delivered[s.Proc]
-			if dm == nil {
-				dm = make(map[model.MsgID]bool)
-				delivered[s.Proc] = dm
-			}
-			if dm[s.Msg] {
-				return &Violation{Spec: "Basic-Broadcast", Property: "BC-No-Duplication",
-					Detail: fmt.Sprintf("%v B-delivers m%d twice", s.Proc, s.Msg), StepIdx: i}
-			}
-			dm[s.Msg] = true
-		}
-	}
-
-	if !t.Complete {
-		return nil
-	}
-	correct := x.CorrectSet()
-	ix := t.Index()
-
-	// BC-Local-Termination: a correct process's broadcast invocation
-	// eventually returns.
-	for m, info := range ix.Broadcasts {
-		if correct[info.From] && info.Returned < 0 {
-			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Local-Termination",
-				Detail: fmt.Sprintf("correct %v never returns from B.broadcast(m%d)", info.From, m), StepIdx: info.StepIdx}
-		}
-	}
-
-	// BC-Global-CS-Termination: a message B-broadcast by a correct process
-	// is eventually B-delivered by all correct processes.
-	for m, info := range ix.Broadcasts {
-		if !correct[info.From] {
-			continue
-		}
-		for p := 1; p <= x.N; p++ {
-			pid := model.ProcID(p)
-			if !correct[pid] {
-				continue
-			}
-			if _, ok := ix.DeliveryPos[pid][m]; !ok {
-				return &Violation{Spec: "Basic-Broadcast", Property: "BC-Global-CS-Termination",
-					Detail: fmt.Sprintf("m%d broadcast by correct %v never B-delivered by correct %v", m, info.From, pid), StepIdx: -1}
-			}
-		}
-	}
-	return nil
+	return All("Send-To-All", BasicBroadcast())
 }
 
 // KSA checks the three defining properties of the k-set-agreement problem
@@ -111,78 +23,6 @@ func checkBasicBroadcast(t *trace.Trace) *Violation {
 // k-SA-Termination (liveness; complete traces only). It also enforces the
 // one-shot discipline: one propose per process per object.
 func KSA(k int) Spec {
-	return streamSpec{
-		name:  fmt.Sprintf("%d-SA", k),
-		batch: func(t *trace.Trace) *Violation { return checkKSA(t, k) },
-		mk:    func(n int) Checker { return newKSAChecker(n, k) },
-	}
-}
-
-func checkKSA(t *trace.Trace, k int) *Violation {
 	name := fmt.Sprintf("%d-SA", k)
-	x := t.X
-
-	proposed := make(map[model.KSAID]map[model.ProcID]model.Value)
-	valuesProposed := make(map[model.KSAID]map[model.Value]bool)
-	decided := make(map[model.KSAID]map[model.ProcID]model.Value)
-	distinct := make(map[model.KSAID]map[model.Value]bool)
-	for i, s := range x.Steps {
-		switch s.Kind {
-		case model.KindPropose:
-			pm := proposed[s.Obj]
-			if pm == nil {
-				pm = make(map[model.ProcID]model.Value)
-				proposed[s.Obj] = pm
-				valuesProposed[s.Obj] = make(map[model.Value]bool)
-			}
-			if _, dup := pm[s.Proc]; dup {
-				return &Violation{Spec: name, Property: "One-Shot",
-					Detail: fmt.Sprintf("%v proposes twice on %v", s.Proc, s.Obj), StepIdx: i}
-			}
-			pm[s.Proc] = s.Val
-			valuesProposed[s.Obj][s.Val] = true
-		case model.KindDecide:
-			if _, ok := proposed[s.Obj][s.Proc]; !ok {
-				return &Violation{Spec: name, Property: "k-SA-Validity",
-					Detail: fmt.Sprintf("%v decides on %v without proposing", s.Proc, s.Obj), StepIdx: i}
-			}
-			if !valuesProposed[s.Obj][s.Val] {
-				return &Violation{Spec: name, Property: "k-SA-Validity",
-					Detail: fmt.Sprintf("%v decides %q on %v, never proposed", s.Proc, s.Val, s.Obj), StepIdx: i}
-			}
-			dm := decided[s.Obj]
-			if dm == nil {
-				dm = make(map[model.ProcID]model.Value)
-				decided[s.Obj] = dm
-				distinct[s.Obj] = make(map[model.Value]bool)
-			}
-			if _, dup := dm[s.Proc]; dup {
-				return &Violation{Spec: name, Property: "One-Shot",
-					Detail: fmt.Sprintf("%v decides twice on %v", s.Proc, s.Obj), StepIdx: i}
-			}
-			dm[s.Proc] = s.Val
-			distinct[s.Obj][s.Val] = true
-			if len(distinct[s.Obj]) > k {
-				return &Violation{Spec: name, Property: "k-SA-Agreement",
-					Detail: fmt.Sprintf("%d distinct values decided on %v, at most %d allowed", len(distinct[s.Obj]), s.Obj, k), StepIdx: i}
-			}
-		}
-	}
-
-	if !t.Complete {
-		return nil
-	}
-	correct := x.CorrectSet()
-	for obj, pm := range proposed {
-		for p := range pm {
-			if !correct[p] {
-				continue
-			}
-			if _, ok := decided[obj][p]; !ok {
-				return &Violation{Spec: name, Property: "k-SA-Termination",
-					Detail: fmt.Sprintf("correct %v proposed on %v but never decides", p, obj), StepIdx: -1}
-			}
-		}
-	}
-	return nil
+	return leafSpec(name, func(n int) leafChecker { return newKSAChecker(n, k, name) })
 }

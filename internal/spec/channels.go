@@ -1,80 +1,9 @@
 package spec
 
-import (
-	"fmt"
-
-	"nobroadcast/internal/model"
-	"nobroadcast/internal/trace"
-)
-
 // Channels checks the three point-to-point channel properties of Section 2:
 // SR-Validity, SR-No-Duplication, and SR-Termination. The first two are
 // safety properties checked on every trace; SR-Termination is liveness and
 // only evaluated on complete traces.
 func Channels() Spec {
-	return streamSpec{name: "SR-Channels", batch: checkChannels,
-		mk: func(n int) Checker { return newChannelsChecker(n) }}
-}
-
-func checkChannels(t *trace.Trace) *Violation {
-	x := t.X
-
-	// SR-Validity: a receive of message instance m from p_s at p_r must be
-	// preceded by a send of m by p_s to p_r.
-	type dest struct {
-		from, to model.ProcID
-	}
-	sent := make(map[model.MsgID]dest)
-	receivedBy := make(map[model.MsgID]map[model.ProcID]int) // msg -> receiver -> count
-	for i, s := range x.Steps {
-		switch s.Kind {
-		case model.KindSend:
-			if _, dup := sent[s.Msg]; dup {
-				// Message instances are unique; reusing an instance id on
-				// a second send is a recording error surfaced as a
-				// validity violation.
-				return &Violation{Spec: "SR-Channels", Property: "SR-Validity",
-					Detail: fmt.Sprintf("message instance m%d sent twice", s.Msg), StepIdx: i}
-			}
-			sent[s.Msg] = dest{from: s.Proc, to: s.Peer}
-		case model.KindReceive:
-			d, ok := sent[s.Msg]
-			if !ok {
-				return &Violation{Spec: "SR-Channels", Property: "SR-Validity",
-					Detail: fmt.Sprintf("%v receives m%d from %v, never sent", s.Proc, s.Msg, s.Peer), StepIdx: i}
-			}
-			if d.from != s.Peer || d.to != s.Proc {
-				return &Violation{Spec: "SR-Channels", Property: "SR-Validity",
-					Detail: fmt.Sprintf("%v receives m%d from %v, but m%d was sent by %v to %v", s.Proc, s.Msg, s.Peer, s.Msg, d.from, d.to), StepIdx: i}
-			}
-			m := receivedBy[s.Msg]
-			if m == nil {
-				m = make(map[model.ProcID]int)
-				receivedBy[s.Msg] = m
-			}
-			m[s.Proc]++
-			// SR-No-Duplication: no process receives the same message
-			// more than once.
-			if m[s.Proc] > 1 {
-				return &Violation{Spec: "SR-Channels", Property: "SR-No-Duplication",
-					Detail: fmt.Sprintf("%v receives m%d twice", s.Proc, s.Msg), StepIdx: i}
-			}
-		}
-	}
-
-	// SR-Termination: on complete traces, every message sent to a correct
-	// process is received.
-	if t.Complete {
-		correct := x.CorrectSet()
-		for m, d := range sent {
-			if !correct[d.to] {
-				continue
-			}
-			if receivedBy[m][d.to] == 0 {
-				return &Violation{Spec: "SR-Channels", Property: "SR-Termination",
-					Detail: fmt.Sprintf("m%d sent by %v to correct %v never received", m, d.from, d.to), StepIdx: -1}
-			}
-		}
-	}
-	return nil
+	return leafSpec("SR-Channels", func(n int) leafChecker { return newChannelsChecker(n) })
 }

@@ -1,21 +1,24 @@
 package spec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nobroadcast/internal/model"
 	"nobroadcast/internal/trace"
 )
 
-// This file defines the incremental checking layer: every specification in
-// this package is backed by an online Checker that consumes one step at a
-// time and keeps only per-spec summary state (FIFO cursors, vector-clock
+// This file is the checking layer. A Spec is a name and an ordered list of
+// leaf properties, and each leaf has an online checker that consumes one
+// step at a time and keeps only summary state (FIFO cursors, vector-clock
 // frontiers, conflict sets, decision tables) instead of the whole trace.
-// Spec.Check remains the public batch entry point, implemented as a thin
-// adapter that streams the trace through a fresh checker, so every
-// existing call site keeps working; the original whole-trace predicates
-// are retained behind CheckBatch for differential testing and as the
-// reference semantics.
+// The Monitor alone runs leaves: it builds one checker per distinct leaf
+// of the specs it checks, so a leaf that several specs share (the
+// Basic-Broadcast leaf of every broadcast abstraction) runs once per step,
+// and it derives every spec's verdict from that one leaf table. The
+// whole-trace reference predicates the leaves are tested against live in
+// this package's tests.
 
 // Checker is an online specification checker. Feed consumes the next step
 // of the execution and returns a violation as soon as one exists; Finish
@@ -26,9 +29,8 @@ import (
 // Checkers latch: once Feed or Finish has returned a violation, every
 // later call returns the same violation. This is the online counterpart
 // of prefix-monotonicity — a violated prefix stays violated in every
-// extension. Checkers track their own step index; the StepIdx of a
-// violation returned by Feed refers to the position of the offending step
-// in the fed sequence.
+// extension. The StepIdx of a violation returned by Feed refers to the
+// position of the offending step in the fed sequence.
 //
 // A Checker is single-goroutine; callers that feed from several
 // goroutines must serialize (the concurrent runtime feeds under its trace
@@ -38,19 +40,40 @@ type Checker interface {
 	Finish(complete bool) *Violation
 }
 
-// Streaming is implemented by specifications that provide an online
-// checker. Every spec constructed by this package implements it; n is the
-// number of processes of the execution to be checked.
-type Streaming interface {
-	Spec
-	NewChecker(n int) Checker
+// leaf is one property of a spec: key is the Violation.Spec name its
+// checker reports (with k, e.g. "2-BO-Order") and mk builds that checker
+// for an n-process execution. Leaves with equal keys are the same
+// property, so a Monitor builds one checker for all of them.
+type leaf struct {
+	key string
+	mk  func(n int) leafChecker
 }
 
-// Batch is implemented by specifications that retain their whole-trace
-// reference predicate alongside the streaming form.
-type Batch interface {
-	Spec
-	CheckBatch(t *trace.Trace) *Violation
+// leafChecker is a leaf's online checker. feed consumes step i of the
+// execution and returns a violation as soon as one exists; s is valid
+// only during the call. finish evaluates the end-of-trace clauses. The
+// Monitor owns the latch: it stops feeding a leaf once feed has returned a
+// violation, and calls finish at most once, only on a leaf that has not.
+type leafChecker interface {
+	feed(i int, s *model.Step) *Violation
+	finish(complete bool) *Violation
+}
+
+// safety is embedded by the leaves that have no end-of-trace clause.
+type safety struct{}
+
+func (safety) finish(bool) *Violation { return nil }
+
+// sortedKeys returns a map's keys in ascending order. Every witness a
+// leaf picks from a map goes through it, so the choice, and the verdict
+// text, is a function of the trace alone.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // RunChecker streams an entire trace through a checker and returns its
@@ -64,156 +87,20 @@ func RunChecker(c Checker, t *trace.Trace) *Violation {
 	return c.Finish(t.Complete)
 }
 
-// NewCheckerFor returns an online checker for any Spec: the spec's own
-// checker when it is Streaming, else a fallback that buffers steps and
-// evaluates the batch predicate at Finish time (correct, but without the
-// per-step early detection or the memory bound).
-func NewCheckerFor(s Spec, n int) Checker {
-	if st, ok := s.(Streaming); ok {
-		return st.NewChecker(n)
-	}
-	return &bufferedChecker{s: s, x: model.NewExecution(n)}
-}
-
-// CheckBatch evaluates a spec's whole-trace reference predicate when it
-// retains one, else falls back to Check. Used by the differential tests
-// and benchmarks comparing the online and batch forms.
-func CheckBatch(s Spec, t *trace.Trace) *Violation {
-	if b, ok := s.(Batch); ok {
-		return b.CheckBatch(t)
-	}
-	return s.Check(t)
-}
+// NewCheckerFor returns the online checker of s: a Monitor of s alone. It
+// blames the leaf violated at the earliest step, where s.Check blames the
+// first violated leaf in declaration order.
+func NewCheckerFor(s Spec, n int) Checker { return NewMonitor(n, s) }
 
 // SameVerdict reports whether two violations agree as verdicts: both nil,
 // or naming the same spec and property. Details and step indices are not
-// compared — details may enumerate map-ordered witnesses.
+// compared: a reference predicate and a leaf checker may pick different
+// witnesses of the same violated property.
 func SameVerdict(a, b *Violation) bool {
 	if (a == nil) != (b == nil) {
 		return false
 	}
 	return a == nil || (a.Spec == b.Spec && a.Property == b.Property)
-}
-
-// streamSpec is the standard implementation of a specification in this
-// package: a name, the retained whole-trace reference predicate, and the
-// online checker constructor. Check streams the trace through a fresh
-// checker, so batch call sites get the online semantics transparently.
-type streamSpec struct {
-	name  string
-	batch func(t *trace.Trace) *Violation
-	mk    func(n int) Checker
-}
-
-var (
-	_ Streaming = streamSpec{}
-	_ Batch     = streamSpec{}
-)
-
-func (s streamSpec) Name() string                         { return s.name }
-func (s streamSpec) Check(t *trace.Trace) *Violation      { return RunChecker(s.mk(t.X.N), t) }
-func (s streamSpec) CheckBatch(t *trace.Trace) *Violation { return s.batch(t) }
-func (s streamSpec) NewChecker(n int) Checker             { return s.mk(n) }
-
-// allSpec is the composite returned by All. Check preserves the historic
-// semantics — component specs are checked in declaration order, whole
-// trace each — while NewChecker multiplexes one checker per component and
-// reports the first violation in *time* order. The two can disagree on
-// which component is blamed when several are violated, never on
-// admissibility.
-type allSpec struct {
-	name  string
-	specs []Spec
-}
-
-var (
-	_ Streaming = allSpec{}
-	_ Batch     = allSpec{}
-)
-
-func (a allSpec) Name() string { return a.name }
-
-func (a allSpec) Check(t *trace.Trace) *Violation {
-	for _, s := range a.specs {
-		if v := s.Check(t); v != nil {
-			return v
-		}
-	}
-	return nil
-}
-
-func (a allSpec) CheckBatch(t *trace.Trace) *Violation {
-	for _, s := range a.specs {
-		if v := CheckBatch(s, t); v != nil {
-			return v
-		}
-	}
-	return nil
-}
-
-func (a allSpec) NewChecker(n int) Checker {
-	cks := make([]Checker, len(a.specs))
-	for i, s := range a.specs {
-		cks[i] = NewCheckerFor(s, n)
-	}
-	return &multiChecker{cks: cks}
-}
-
-// multiChecker feeds every component checker and latches the first
-// violation any of them reports.
-type multiChecker struct {
-	cks []Checker
-	v   *Violation
-}
-
-func (c *multiChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	for _, ck := range c.cks {
-		if v := ck.Feed(s); v != nil && c.v == nil {
-			c.v = v
-		}
-	}
-	return c.v
-}
-
-func (c *multiChecker) Finish(complete bool) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	for _, ck := range c.cks {
-		if v := ck.Finish(complete); v != nil {
-			c.v = v
-			return c.v
-		}
-	}
-	return nil
-}
-
-// bufferedChecker is the fallback for user-supplied specs without a
-// streaming form: it buffers the fed steps and runs the batch predicate
-// once at Finish. No per-step early detection.
-type bufferedChecker struct {
-	s Spec
-	x *model.Execution
-	v *Violation
-}
-
-func (c *bufferedChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	c.x.Append(s)
-	return nil
-}
-
-func (c *bufferedChecker) Finish(complete bool) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	c.v = c.s.Check(&trace.Trace{X: c.x, Complete: complete})
-	return c.v
 }
 
 // SpecVerdict is one spec's latched verdict inside a Monitor.
@@ -223,74 +110,140 @@ type SpecVerdict struct {
 	StepIdx   int        // index of the latching step, -1 for Finish-time or none
 }
 
-// Monitor runs several specifications' checkers over one step stream. It
-// is the unit the runtimes embed for live checking: feed every recorded
-// step, then read the latched per-spec verdicts. Feed returns the overall
-// first violation (nil until one occurs), so callers can fail fast while
-// the monitor keeps collecting verdicts for the remaining specs.
+// Monitor checks several specifications over one step stream. It is the
+// unit the runtimes embed for live checking, and a Monitor of one spec is
+// that spec's Checker. It keeps one slot per distinct leaf of its specs,
+// feeds each leaf every step until that leaf latches, and derives each
+// spec's verdict from its leaves' slots: the leaf violated at the earliest
+// step, the first declared on a tie; failing that, the first declared
+// leaf violated at Finish. Feed returns the overall first violation (nil
+// until one occurs), so callers can fail fast while the monitor keeps
+// collecting verdicts for the remaining specs.
 type Monitor struct {
+	step     model.Step // the step being fed; leaves get a pointer to it
 	steps    int
-	entries  []*monEntry
+	leaves   []monLeaf
+	specs    []monSpec
 	first    *Violation
 	firstIdx int
 	finished bool
 }
 
-type monEntry struct {
-	spec Spec
-	ck   Checker
-	v    *Violation
-	idx  int
+// monLeaf is one distinct leaf's checker and latched verdict.
+type monLeaf struct {
+	key string
+	ck  leafChecker
+	v   *Violation
+	idx int // the step that latched v, -1 when v latched at Finish or is nil
+}
+
+// monSpec is one monitored spec: its leaves' slots in declaration order.
+type monSpec struct {
+	name   string
+	leaves []int
 }
 
 // NewMonitor builds a monitor over the given specs for an n-process
 // execution.
 func NewMonitor(n int, specs ...Spec) *Monitor {
-	m := &Monitor{firstIdx: -1}
+	total := 0
 	for _, s := range specs {
-		m.entries = append(m.entries, &monEntry{spec: s, ck: NewCheckerFor(s, n), idx: -1})
+		total += len(s.leaves)
+	}
+	m := &Monitor{firstIdx: -1, leaves: make([]monLeaf, 0, total), specs: make([]monSpec, len(specs))}
+	slots := make([]int, 0, total)
+	for i, s := range specs {
+		start := len(slots)
+		for _, l := range s.leaves {
+			slots = append(slots, m.slot(l, n))
+		}
+		m.specs[i] = monSpec{name: s.name, leaves: slots[start:]}
 	}
 	return m
 }
 
-// Feed advances every non-violated checker by one step and returns the
-// overall first violation (latched).
-func (m *Monitor) Feed(s model.Step) *Violation {
-	idx := m.steps
-	m.steps++
-	for _, e := range m.entries {
-		if e.v != nil {
-			continue
+// slot returns the index of l's slot, building its checker on first use.
+func (m *Monitor) slot(l leaf, n int) int {
+	for j := range m.leaves {
+		if m.leaves[j].key == l.key {
+			return j
 		}
-		if v := e.ck.Feed(s); v != nil {
-			e.v, e.idx = v, idx
-			if m.first == nil {
-				m.first, m.firstIdx = v, idx
+	}
+	m.leaves = append(m.leaves, monLeaf{key: l.key, ck: l.mk(n), idx: -1})
+	return len(m.leaves) - 1
+}
+
+// Feed advances every leaf that has not latched by one step and returns
+// the overall first violation (latched). The step is copied once, into the
+// monitor; leaves read it through a pointer.
+func (m *Monitor) Feed(s model.Step) *Violation {
+	m.step = s
+	return m.feed(&m.step)
+}
+
+// feed is Feed on a step that stays valid for the call; Spec.Check passes
+// the trace's own steps.
+func (m *Monitor) feed(s *model.Step) *Violation {
+	i := m.steps
+	m.steps++
+	latched := false
+	for j := range m.leaves {
+		l := &m.leaves[j]
+		if l.v == nil {
+			if l.v = l.ck.feed(i, s); l.v != nil {
+				l.idx, latched = i, true
 			}
 		}
+	}
+	if latched && m.first == nil {
+		m.first, m.firstIdx = m.firstVerdict()
 	}
 	return m.first
 }
 
-// Finish evaluates the end-of-trace clauses of every spec that has not
-// already violated. It is idempotent.
+// Finish evaluates the end-of-trace clauses of every leaf that has not
+// latched. It is idempotent.
 func (m *Monitor) Finish(complete bool) *Violation {
 	if m.finished {
 		return m.first
 	}
 	m.finished = true
-	for _, e := range m.entries {
-		if e.v != nil {
-			continue
-		}
-		if v := e.ck.Finish(complete); v != nil {
-			e.v = v
-			if m.first == nil {
-				m.first = v
-			}
+	for j := range m.leaves {
+		if l := &m.leaves[j]; l.v == nil {
+			l.v = l.ck.finish(complete)
 		}
 	}
+	if m.first == nil {
+		m.first, m.firstIdx = m.firstVerdict()
+	}
 	return m.first
+}
+
+// verdict derives a spec's verdict from its leaves' slots.
+func (m *Monitor) verdict(sp *monSpec) (v *Violation, idx int) {
+	idx = -1
+	for _, j := range sp.leaves {
+		l := &m.leaves[j]
+		switch {
+		case l.v == nil:
+		case l.idx >= 0 && (idx < 0 || l.idx < idx): // latched at an earlier step
+			v, idx = l.v, l.idx
+		case l.idx < 0 && v == nil: // violated at Finish, and no leaf before it
+			v = l.v
+		}
+	}
+	return v, idx
+}
+
+// firstVerdict is the verdict of the first spec, in monitor order, that
+// has one.
+func (m *Monitor) firstVerdict() (*Violation, int) {
+	for i := range m.specs {
+		if v, idx := m.verdict(&m.specs[i]); v != nil {
+			return v, idx
+		}
+	}
+	return nil, -1
 }
 
 // Violation returns the overall first violation and the index of the step
@@ -303,9 +256,10 @@ func (m *Monitor) Steps() int { return m.steps }
 // Verdict returns the latched verdict for the named spec; ok reports
 // whether that spec is monitored at all.
 func (m *Monitor) Verdict(specName string) (v *Violation, ok bool) {
-	for _, e := range m.entries {
-		if e.spec.Name() == specName {
-			return e.v, true
+	for i := range m.specs {
+		if m.specs[i].name == specName {
+			v, _ = m.verdict(&m.specs[i])
+			return v, true
 		}
 	}
 	return nil, false
@@ -314,9 +268,10 @@ func (m *Monitor) Verdict(specName string) (v *Violation, ok bool) {
 // Verdicts returns every monitored spec's latched verdict, in monitor
 // order.
 func (m *Monitor) Verdicts() []SpecVerdict {
-	out := make([]SpecVerdict, len(m.entries))
-	for i, e := range m.entries {
-		out[i] = SpecVerdict{Spec: e.spec.Name(), Violation: e.v, StepIdx: e.idx}
+	out := make([]SpecVerdict, len(m.specs))
+	for i := range m.specs {
+		v, idx := m.verdict(&m.specs[i])
+		out[i] = SpecVerdict{Spec: m.specs[i].name, Violation: v, StepIdx: idx}
 	}
 	return out
 }
@@ -324,10 +279,10 @@ func (m *Monitor) Verdicts() []SpecVerdict {
 // String summarizes the monitor state for logs.
 func (m *Monitor) String() string {
 	bad := 0
-	for _, e := range m.entries {
-		if e.v != nil {
+	for i := range m.specs {
+		if v, _ := m.verdict(&m.specs[i]); v != nil {
 			bad++
 		}
 	}
-	return fmt.Sprintf("monitor{%d specs, %d steps, %d violated}", len(m.entries), m.steps, bad)
+	return fmt.Sprintf("monitor{%d specs, %d steps, %d violated}", len(m.specs), m.steps, bad)
 }

@@ -1,12 +1,5 @@
 package spec
 
-import (
-	"fmt"
-
-	"nobroadcast/internal/model"
-	"nobroadcast/internal/trace"
-)
-
 // This file adds the liveness-flavoured specifications cited in Section
 // 3.2's opening: Uniform Reliable Broadcast [13], whose delivery guarantee
 // extends to messages delivered by faulty processes, and the ordering
@@ -20,40 +13,7 @@ import (
 // complete traces only.
 func UniformReliable() Spec {
 	return All("Uniform-Reliable-Broadcast", BasicBroadcast(),
-		streamSpec{name: "Uniform-Reliable-Broadcast", batch: checkUniformTermination,
-			mk: func(n int) Checker { return newUniformChecker(n) }})
-}
-
-func checkUniformTermination(t *trace.Trace) *Violation {
-	if !t.Complete {
-		return nil
-	}
-	x := t.X
-	correct := x.CorrectSet()
-	ix := t.Index()
-	for m := range ix.Broadcasts {
-		deliveredSomewhere := model.NoProc
-		for pn := 1; pn <= x.N; pn++ {
-			if _, ok := ix.DeliveryPos[model.ProcID(pn)][m]; ok {
-				deliveredSomewhere = model.ProcID(pn)
-				break
-			}
-		}
-		if deliveredSomewhere == model.NoProc {
-			continue
-		}
-		for pn := 1; pn <= x.N; pn++ {
-			pid := model.ProcID(pn)
-			if !correct[pid] {
-				continue
-			}
-			if _, ok := ix.DeliveryPos[pid][m]; !ok {
-				return &Violation{Spec: "Uniform-Reliable-Broadcast", Property: "BC-Uniform-Termination",
-					Detail: fmt.Sprintf("m%d was B-delivered by %v but correct %v never B-delivers it", m, deliveredSomewhere, pid), StepIdx: -1}
-			}
-		}
-	}
-	return nil
+		leafSpec("Uniform-Reliable-Broadcast", func(n int) leafChecker { return newUniformChecker(n) }))
 }
 
 // MutualOrder checks the ordering property of Mutual Broadcast [9]: for
@@ -67,37 +27,10 @@ func checkUniformTermination(t *trace.Trace) *Violation {
 // delivered both messages with their own strictly first, which no
 // extension can undo.
 func MutualOrder() Spec {
-	return streamSpec{name: "Mutual-Order", batch: checkMutualOrder,
-		mk: func(int) Checker { return newMutualChecker() }}
+	return leafSpec("Mutual-Order", func(int) leafChecker { return newMutualChecker() })
 }
 
 // MutualBroadcast composes the mutual order with the universal properties.
 func MutualBroadcast() Spec {
 	return All("Mutual-Broadcast", BasicBroadcast(), MutualOrder())
-}
-
-func checkMutualOrder(t *trace.Trace) *Violation {
-	ix := t.Index()
-	msgs := ix.MessagesSorted()
-	for i := 0; i < len(msgs); i++ {
-		for j := i + 1; j < len(msgs); j++ {
-			m, m2 := msgs[i], msgs[j]
-			p := ix.Broadcasts[m].From
-			q := ix.Broadcasts[m2].From
-			if p == q {
-				continue
-			}
-			pPos := ix.DeliveryPos[p]
-			qPos := ix.DeliveryPos[q]
-			pm, ok1 := pPos[m]
-			pm2, ok2 := pPos[m2]
-			qm2, ok3 := qPos[m2]
-			qm, ok4 := qPos[m]
-			if ok1 && ok2 && ok3 && ok4 && pm < pm2 && qm2 < qm {
-				return &Violation{Spec: "Mutual-Order", Property: "Mutual",
-					Detail: fmt.Sprintf("%v delivers its own m%d before m%d, and %v delivers its own m%d before m%d: the two broadcasts are mutually invisible", p, m, m2, q, m2, m), StepIdx: -1}
-			}
-		}
-	}
-	return nil
 }

@@ -6,18 +6,18 @@ import (
 	"nobroadcast/internal/model"
 )
 
-// This file holds the online checkers for the per-step specifications
-// whose batch loops translate directly: well-formedness, the universal
+// This file holds the leaf checkers for the per-step specifications whose
+// reference loops translate directly: well-formedness, the universal
 // broadcast properties, the channel properties, and k-SA. Each checker's
-// Feed body is the corresponding batch loop body, so the two forms return
-// identical verdicts by construction (asserted by the differential
-// tests).
+// feed body is the corresponding reference loop body, so the two forms
+// return identical verdicts by construction (asserted by the differential
+// tests). Where a finish-time clause is violated in several places, the
+// checker names the lowest message (or object), then the lowest process.
 
-// wellFormedChecker streams checkWellFormed.
+// wellFormedChecker streams the Definition 1 checks.
 type wellFormedChecker struct {
+	safety
 	n        int
-	i        int
-	v        *Violation
 	crashed  map[model.ProcID]bool
 	inFlight map[model.ProcID]model.MsgID
 	open     map[model.ProcID]bool
@@ -32,47 +32,38 @@ func newWellFormedChecker(n int) *wellFormedChecker {
 	}
 }
 
-func (c *wellFormedChecker) fail(v *Violation) *Violation { c.v = v; return v }
-
-func (c *wellFormedChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *wellFormedChecker) feed(i int, s *model.Step) *Violation {
 	if s.Proc < 1 || int(s.Proc) > c.n {
-		return c.fail(&Violation{Spec: "Well-Formed", Property: "Participants",
-			Detail: fmt.Sprintf("step by %v outside p1..p%d", s.Proc, c.n), StepIdx: i})
+		return &Violation{Spec: "Well-Formed", Property: "Participants",
+			Detail: fmt.Sprintf("step by %v outside p1..p%d", s.Proc, c.n), StepIdx: i}
 	}
 	if c.crashed[s.Proc] {
-		return c.fail(&Violation{Spec: "Well-Formed", Property: "Crash-Finality",
-			Detail: fmt.Sprintf("%v takes a step after crashing", s.Proc), StepIdx: i})
+		return &Violation{Spec: "Well-Formed", Property: "Crash-Finality",
+			Detail: fmt.Sprintf("%v takes a step after crashing", s.Proc), StepIdx: i}
 	}
 	switch s.Kind {
 	case model.KindCrash:
 		c.crashed[s.Proc] = true
 	case model.KindBroadcastInvoke:
 		if c.open[s.Proc] {
-			return c.fail(&Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
-				Detail: fmt.Sprintf("%v invokes B.broadcast(m%d) before returning from B.broadcast(m%d)", s.Proc, s.Msg, c.inFlight[s.Proc]), StepIdx: i})
+			return &Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
+				Detail: fmt.Sprintf("%v invokes B.broadcast(m%d) before returning from B.broadcast(m%d)", s.Proc, s.Msg, c.inFlight[s.Proc]), StepIdx: i}
 		}
 		c.open[s.Proc] = true
 		c.inFlight[s.Proc] = s.Msg
 	case model.KindBroadcastReturn:
 		if !c.open[s.Proc] {
-			return c.fail(&Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
-				Detail: fmt.Sprintf("%v returns from B.broadcast(m%d) without an open invocation", s.Proc, s.Msg), StepIdx: i})
+			return &Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
+				Detail: fmt.Sprintf("%v returns from B.broadcast(m%d) without an open invocation", s.Proc, s.Msg), StepIdx: i}
 		}
 		if c.inFlight[s.Proc] != s.Msg {
-			return c.fail(&Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
-				Detail: fmt.Sprintf("%v returns from B.broadcast(m%d), but the open invocation is m%d", s.Proc, s.Msg, c.inFlight[s.Proc]), StepIdx: i})
+			return &Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
+				Detail: fmt.Sprintf("%v returns from B.broadcast(m%d), but the open invocation is m%d", s.Proc, s.Msg, c.inFlight[s.Proc]), StepIdx: i}
 		}
 		c.open[s.Proc] = false
 	}
 	return nil
 }
-
-func (c *wellFormedChecker) Finish(bool) *Violation { return c.v }
 
 // crashTracker gives checkers with liveness clauses the correct set.
 type crashTracker struct {
@@ -84,7 +75,7 @@ func newCrashTracker(n int) crashTracker {
 	return crashTracker{n: n, crashed: make(map[model.ProcID]bool)}
 }
 
-func (c *crashTracker) observe(s model.Step) {
+func (c *crashTracker) observe(s *model.Step) {
 	if s.Kind == model.KindCrash {
 		c.crashed[s.Proc] = true
 	}
@@ -100,12 +91,10 @@ type basicBcast struct {
 	returned bool
 }
 
-// basicChecker streams checkBasicBroadcast: BC-Validity and
-// BC-No-Duplication per step, the two termination clauses at Finish.
+// basicChecker streams BC-Validity and BC-No-Duplication per step, and
+// the two termination clauses at finish.
 type basicChecker struct {
 	crashTracker
-	i         int
-	v         *Violation
 	bcasts    map[model.MsgID]*basicBcast
 	payloadAt map[model.MsgID]model.Payload
 	delivered map[model.ProcID]map[model.MsgID]bool
@@ -120,20 +109,13 @@ func newBasicChecker(n int) *basicChecker {
 	}
 }
 
-func (c *basicChecker) fail(v *Violation) *Violation { c.v = v; return v }
-
-func (c *basicChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *basicChecker) feed(i int, s *model.Step) *Violation {
 	c.observe(s)
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
 		if info, dup := c.bcasts[s.Msg]; dup {
-			return c.fail(&Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
-				Detail: fmt.Sprintf("message m%d broadcast twice (by %v and %v); broadcast messages are unique", s.Msg, info.from, s.Proc), StepIdx: i})
+			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
+				Detail: fmt.Sprintf("message m%d broadcast twice (by %v and %v); broadcast messages are unique", s.Msg, info.from, s.Proc), StepIdx: i}
 		}
 		c.bcasts[s.Msg] = &basicBcast{from: s.Proc, stepIdx: i}
 		c.payloadAt[s.Msg] = s.Payload
@@ -144,16 +126,16 @@ func (c *basicChecker) Feed(s model.Step) *Violation {
 	case model.KindDeliver:
 		info, ok := c.bcasts[s.Msg]
 		if !ok {
-			return c.fail(&Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
-				Detail: fmt.Sprintf("%v B-delivers m%d from %v, never broadcast", s.Proc, s.Msg, s.Peer), StepIdx: i})
+			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
+				Detail: fmt.Sprintf("%v B-delivers m%d from %v, never broadcast", s.Proc, s.Msg, s.Peer), StepIdx: i}
 		}
 		if info.from != s.Peer {
-			return c.fail(&Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
-				Detail: fmt.Sprintf("%v B-delivers m%d from %v, but m%d was broadcast by %v", s.Proc, s.Msg, s.Peer, s.Msg, info.from), StepIdx: i})
+			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
+				Detail: fmt.Sprintf("%v B-delivers m%d from %v, but m%d was broadcast by %v", s.Proc, s.Msg, s.Peer, s.Msg, info.from), StepIdx: i}
 		}
 		if got, want := s.Payload, c.payloadAt[s.Msg]; got != want {
-			return c.fail(&Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
-				Detail: fmt.Sprintf("%v B-delivers m%d with content %q, broadcast with %q", s.Proc, s.Msg, got, want), StepIdx: i})
+			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
+				Detail: fmt.Sprintf("%v B-delivers m%d with content %q, broadcast with %q", s.Proc, s.Msg, got, want), StepIdx: i}
 		}
 		dm := c.delivered[s.Proc]
 		if dm == nil {
@@ -161,25 +143,27 @@ func (c *basicChecker) Feed(s model.Step) *Violation {
 			c.delivered[s.Proc] = dm
 		}
 		if dm[s.Msg] {
-			return c.fail(&Violation{Spec: "Basic-Broadcast", Property: "BC-No-Duplication",
-				Detail: fmt.Sprintf("%v B-delivers m%d twice", s.Proc, s.Msg), StepIdx: i})
+			return &Violation{Spec: "Basic-Broadcast", Property: "BC-No-Duplication",
+				Detail: fmt.Sprintf("%v B-delivers m%d twice", s.Proc, s.Msg), StepIdx: i}
 		}
 		dm[s.Msg] = true
 	}
 	return nil
 }
 
-func (c *basicChecker) Finish(complete bool) *Violation {
-	if c.v != nil || !complete {
-		return c.v
+func (c *basicChecker) finish(complete bool) *Violation {
+	if !complete {
+		return nil
 	}
-	for m, info := range c.bcasts {
-		if c.correct(info.from) && !info.returned {
-			return c.fail(&Violation{Spec: "Basic-Broadcast", Property: "BC-Local-Termination",
-				Detail: fmt.Sprintf("correct %v never returns from B.broadcast(m%d)", info.from, m), StepIdx: info.stepIdx})
+	msgs := sortedKeys(c.bcasts)
+	for _, m := range msgs {
+		if info := c.bcasts[m]; c.correct(info.from) && !info.returned {
+			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Local-Termination",
+				Detail: fmt.Sprintf("correct %v never returns from B.broadcast(m%d)", info.from, m), StepIdx: info.stepIdx}
 		}
 	}
-	for m, info := range c.bcasts {
+	for _, m := range msgs {
+		info := c.bcasts[m]
 		if !c.correct(info.from) {
 			continue
 		}
@@ -189,111 +173,94 @@ func (c *basicChecker) Finish(complete bool) *Violation {
 				continue
 			}
 			if !c.delivered[pid][m] {
-				return c.fail(&Violation{Spec: "Basic-Broadcast", Property: "BC-Global-CS-Termination",
-					Detail: fmt.Sprintf("m%d broadcast by correct %v never B-delivered by correct %v", m, info.from, pid), StepIdx: -1})
+				return &Violation{Spec: "Basic-Broadcast", Property: "BC-Global-CS-Termination",
+					Detail: fmt.Sprintf("m%d broadcast by correct %v never B-delivered by correct %v", m, info.from, pid), StepIdx: -1}
 			}
 		}
 	}
 	return nil
 }
 
-// channelsChecker streams checkChannels.
+// channelsChecker streams the channel properties. A receive by anyone but
+// a send's destination already fails SR-Validity, so one received flag per
+// send is all SR-No-Duplication and SR-Termination need.
 type channelsChecker struct {
 	crashTracker
-	i          int
-	v          *Violation
-	sent       map[model.MsgID]srDest
-	receivedBy map[model.MsgID]map[model.ProcID]int
+	sent map[model.MsgID]srDest
 }
 
 type srDest struct {
 	from, to model.ProcID
+	received bool
 }
 
 func newChannelsChecker(n int) *channelsChecker {
 	return &channelsChecker{
 		crashTracker: newCrashTracker(n),
 		sent:         make(map[model.MsgID]srDest),
-		receivedBy:   make(map[model.MsgID]map[model.ProcID]int),
 	}
 }
 
-func (c *channelsChecker) fail(v *Violation) *Violation { c.v = v; return v }
-
-func (c *channelsChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *channelsChecker) feed(i int, s *model.Step) *Violation {
 	c.observe(s)
 	switch s.Kind {
 	case model.KindSend:
 		if _, dup := c.sent[s.Msg]; dup {
-			return c.fail(&Violation{Spec: "SR-Channels", Property: "SR-Validity",
-				Detail: fmt.Sprintf("message instance m%d sent twice", s.Msg), StepIdx: i})
+			return &Violation{Spec: "SR-Channels", Property: "SR-Validity",
+				Detail: fmt.Sprintf("message instance m%d sent twice", s.Msg), StepIdx: i}
 		}
 		c.sent[s.Msg] = srDest{from: s.Proc, to: s.Peer}
 	case model.KindReceive:
 		d, ok := c.sent[s.Msg]
 		if !ok {
-			return c.fail(&Violation{Spec: "SR-Channels", Property: "SR-Validity",
-				Detail: fmt.Sprintf("%v receives m%d from %v, never sent", s.Proc, s.Msg, s.Peer), StepIdx: i})
+			return &Violation{Spec: "SR-Channels", Property: "SR-Validity",
+				Detail: fmt.Sprintf("%v receives m%d from %v, never sent", s.Proc, s.Msg, s.Peer), StepIdx: i}
 		}
 		if d.from != s.Peer || d.to != s.Proc {
-			return c.fail(&Violation{Spec: "SR-Channels", Property: "SR-Validity",
-				Detail: fmt.Sprintf("%v receives m%d from %v, but m%d was sent by %v to %v", s.Proc, s.Msg, s.Peer, s.Msg, d.from, d.to), StepIdx: i})
+			return &Violation{Spec: "SR-Channels", Property: "SR-Validity",
+				Detail: fmt.Sprintf("%v receives m%d from %v, but m%d was sent by %v to %v", s.Proc, s.Msg, s.Peer, s.Msg, d.from, d.to), StepIdx: i}
 		}
-		m := c.receivedBy[s.Msg]
-		if m == nil {
-			m = make(map[model.ProcID]int)
-			c.receivedBy[s.Msg] = m
+		if d.received {
+			return &Violation{Spec: "SR-Channels", Property: "SR-No-Duplication",
+				Detail: fmt.Sprintf("%v receives m%d twice", s.Proc, s.Msg), StepIdx: i}
 		}
-		m[s.Proc]++
-		if m[s.Proc] > 1 {
-			return c.fail(&Violation{Spec: "SR-Channels", Property: "SR-No-Duplication",
-				Detail: fmt.Sprintf("%v receives m%d twice", s.Proc, s.Msg), StepIdx: i})
+		d.received = true
+		c.sent[s.Msg] = d
+	}
+	return nil
+}
+
+func (c *channelsChecker) finish(complete bool) *Violation {
+	if !complete {
+		return nil
+	}
+	for _, m := range sortedKeys(c.sent) {
+		if d := c.sent[m]; c.correct(d.to) && !d.received {
+			return &Violation{Spec: "SR-Channels", Property: "SR-Termination",
+				Detail: fmt.Sprintf("m%d sent by %v to correct %v never received", m, d.from, d.to), StepIdx: -1}
 		}
 	}
 	return nil
 }
 
-func (c *channelsChecker) Finish(complete bool) *Violation {
-	if c.v != nil || !complete {
-		return c.v
-	}
-	for m, d := range c.sent {
-		if !c.correct(d.to) {
-			continue
-		}
-		if c.receivedBy[m][d.to] == 0 {
-			return c.fail(&Violation{Spec: "SR-Channels", Property: "SR-Termination",
-				Detail: fmt.Sprintf("m%d sent by %v to correct %v never received", m, d.from, d.to), StepIdx: -1})
-		}
-	}
-	return nil
-}
-
-// ksaChecker streams checkKSA: the one-shot discipline, k-SA-Validity,
-// and k-SA-Agreement per step (the streaming decision tables), and
-// k-SA-Termination at Finish.
+// ksaChecker streams the one-shot discipline, k-SA-Validity, and
+// k-SA-Agreement per step (the streaming decision tables), and
+// k-SA-Termination at finish.
 type ksaChecker struct {
 	crashTracker
 	k              int
 	name           string
-	i              int
-	v              *Violation
 	proposed       map[model.KSAID]map[model.ProcID]model.Value
 	valuesProposed map[model.KSAID]map[model.Value]bool
 	decided        map[model.KSAID]map[model.ProcID]model.Value
 	distinct       map[model.KSAID]map[model.Value]bool
 }
 
-func newKSAChecker(n, k int) *ksaChecker {
+func newKSAChecker(n, k int, name string) *ksaChecker {
 	return &ksaChecker{
 		crashTracker:   newCrashTracker(n),
 		k:              k,
-		name:           fmt.Sprintf("%d-SA", k),
+		name:           name,
 		proposed:       make(map[model.KSAID]map[model.ProcID]model.Value),
 		valuesProposed: make(map[model.KSAID]map[model.Value]bool),
 		decided:        make(map[model.KSAID]map[model.ProcID]model.Value),
@@ -301,14 +268,7 @@ func newKSAChecker(n, k int) *ksaChecker {
 	}
 }
 
-func (c *ksaChecker) fail(v *Violation) *Violation { c.v = v; return v }
-
-func (c *ksaChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *ksaChecker) feed(i int, s *model.Step) *Violation {
 	c.observe(s)
 	switch s.Kind {
 	case model.KindPropose:
@@ -319,19 +279,19 @@ func (c *ksaChecker) Feed(s model.Step) *Violation {
 			c.valuesProposed[s.Obj] = make(map[model.Value]bool)
 		}
 		if _, dup := pm[s.Proc]; dup {
-			return c.fail(&Violation{Spec: c.name, Property: "One-Shot",
-				Detail: fmt.Sprintf("%v proposes twice on %v", s.Proc, s.Obj), StepIdx: i})
+			return &Violation{Spec: c.name, Property: "One-Shot",
+				Detail: fmt.Sprintf("%v proposes twice on %v", s.Proc, s.Obj), StepIdx: i}
 		}
 		pm[s.Proc] = s.Val
 		c.valuesProposed[s.Obj][s.Val] = true
 	case model.KindDecide:
 		if _, ok := c.proposed[s.Obj][s.Proc]; !ok {
-			return c.fail(&Violation{Spec: c.name, Property: "k-SA-Validity",
-				Detail: fmt.Sprintf("%v decides on %v without proposing", s.Proc, s.Obj), StepIdx: i})
+			return &Violation{Spec: c.name, Property: "k-SA-Validity",
+				Detail: fmt.Sprintf("%v decides on %v without proposing", s.Proc, s.Obj), StepIdx: i}
 		}
 		if !c.valuesProposed[s.Obj][s.Val] {
-			return c.fail(&Violation{Spec: c.name, Property: "k-SA-Validity",
-				Detail: fmt.Sprintf("%v decides %q on %v, never proposed", s.Proc, s.Val, s.Obj), StepIdx: i})
+			return &Violation{Spec: c.name, Property: "k-SA-Validity",
+				Detail: fmt.Sprintf("%v decides %q on %v, never proposed", s.Proc, s.Val, s.Obj), StepIdx: i}
 		}
 		dm := c.decided[s.Obj]
 		if dm == nil {
@@ -340,31 +300,31 @@ func (c *ksaChecker) Feed(s model.Step) *Violation {
 			c.distinct[s.Obj] = make(map[model.Value]bool)
 		}
 		if _, dup := dm[s.Proc]; dup {
-			return c.fail(&Violation{Spec: c.name, Property: "One-Shot",
-				Detail: fmt.Sprintf("%v decides twice on %v", s.Proc, s.Obj), StepIdx: i})
+			return &Violation{Spec: c.name, Property: "One-Shot",
+				Detail: fmt.Sprintf("%v decides twice on %v", s.Proc, s.Obj), StepIdx: i}
 		}
 		dm[s.Proc] = s.Val
 		c.distinct[s.Obj][s.Val] = true
 		if len(c.distinct[s.Obj]) > c.k {
-			return c.fail(&Violation{Spec: c.name, Property: "k-SA-Agreement",
-				Detail: fmt.Sprintf("%d distinct values decided on %v, at most %d allowed", len(c.distinct[s.Obj]), s.Obj, c.k), StepIdx: i})
+			return &Violation{Spec: c.name, Property: "k-SA-Agreement",
+				Detail: fmt.Sprintf("%d distinct values decided on %v, at most %d allowed", len(c.distinct[s.Obj]), s.Obj, c.k), StepIdx: i}
 		}
 	}
 	return nil
 }
 
-func (c *ksaChecker) Finish(complete bool) *Violation {
-	if c.v != nil || !complete {
-		return c.v
+func (c *ksaChecker) finish(complete bool) *Violation {
+	if !complete {
+		return nil
 	}
-	for obj, pm := range c.proposed {
-		for p := range pm {
+	for _, obj := range sortedKeys(c.proposed) {
+		for _, p := range sortedKeys(c.proposed[obj]) {
 			if !c.correct(p) {
 				continue
 			}
 			if _, ok := c.decided[obj][p]; !ok {
-				return c.fail(&Violation{Spec: c.name, Property: "k-SA-Termination",
-					Detail: fmt.Sprintf("correct %v proposed on %v but never decides", p, obj), StepIdx: -1})
+				return &Violation{Spec: c.name, Property: "k-SA-Termination",
+					Detail: fmt.Sprintf("correct %v proposed on %v but never decides", p, obj), StepIdx: -1}
 			}
 		}
 	}

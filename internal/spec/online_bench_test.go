@@ -69,7 +69,7 @@ func BenchmarkSpecBatch(b *testing.B) {
 		for cut := benchCheckpointEvery; cut <= tr.X.Len(); cut += benchCheckpointEvery {
 			prefix := &trace.Trace{X: &model.Execution{N: tr.X.N, Steps: tr.X.Steps[:cut]}}
 			for _, s := range benchSpecs() {
-				if v := CheckBatch(s, prefix); v != nil {
+				if v := checkReference(s, prefix); v != nil {
 					b.Fatalf("unexpected violation: %v", v)
 				}
 			}

@@ -14,21 +14,20 @@ import (
 // frontiers, the pairwise conflict tracker shared by Total Order / k-BO /
 // SCD / k-SCD, and the first-delivery counters of the strawman specs.
 //
-// Faithfulness note: the checkers return verdicts identical to the batch
-// predicates on every trace in which a message's broadcast precedes its
-// deliveries — which both runtimes guarantee by recording order (an
-// invocation is always recorded before any delivery it causes). The
-// conflict-based checkers additionally handle late broadcasts exactly
-// (deliveries of a not-yet-broadcast message are parked and joined to the
-// conflict graph when the broadcast arrives, matching the batch scan over
-// broadcast messages only).
+// Faithfulness note: the checkers return verdicts identical to the
+// reference predicates (in this package's tests) on every trace in which a
+// message's broadcast precedes its deliveries — which both runtimes
+// guarantee by recording order (an invocation is always recorded before
+// any delivery it causes). The conflict-based checkers additionally handle
+// late broadcasts exactly (deliveries of a not-yet-broadcast message are
+// parked and joined to the conflict graph when the broadcast arrives,
+// matching the reference scan over broadcast messages only).
 
-// fifoChecker streams checkFIFO: one cursor per (receiver, sender) pair —
-// the number of the sender's messages the receiver has delivered, which
-// must advance in broadcast order with no gaps.
+// fifoChecker keeps one cursor per (receiver, sender) pair — the number
+// of the sender's messages the receiver has delivered, which must advance
+// in broadcast order with no gaps.
 type fifoChecker struct {
-	i            int
-	v            *Violation
+	safety
 	seq          map[model.MsgID]fifoSlot
 	counts       map[model.ProcID]int
 	deliveredIdx map[model.ProcID]map[model.ProcID]int
@@ -47,12 +46,7 @@ func newFIFOChecker() *fifoChecker {
 	}
 }
 
-func (c *fifoChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *fifoChecker) feed(i int, s *model.Step) *Violation {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
 		c.seq[s.Msg] = fifoSlot{from: s.Proc, idx: c.counts[s.Proc]}
@@ -68,20 +62,17 @@ func (c *fifoChecker) Feed(s model.Step) *Violation {
 			c.deliveredIdx[s.Proc] = dm
 		}
 		if want := dm[sl.from]; sl.idx != want {
-			c.v = &Violation{Spec: "FIFO-Order", Property: "FIFO",
+			return &Violation{Spec: "FIFO-Order", Property: "FIFO",
 				Detail: fmt.Sprintf("%v delivers m%d (message #%d of %v) but has delivered only %d of %v's earlier messages", s.Proc, s.Msg, sl.idx+1, sl.from, want, sl.from), StepIdx: i}
-			return c.v
 		}
 		dm[sl.from]++
 	}
 	return nil
 }
 
-func (c *fifoChecker) Finish(bool) *Violation { return c.v }
-
-// causalChecker streams checkCausal without materializing past sets.
+// causalChecker checks causal order without materializing past sets.
 //
-// The batch predicate keeps an explicit message set per causal past —
+// The reference predicate keeps an explicit message set per causal past —
 // O(M²) memory. The streaming form exploits that causal pasts are
 // per-sender prefix-closed: a process's causal history restricted to one
 // sender's broadcasts is always a prefix of that sender's broadcast
@@ -91,12 +82,12 @@ func (c *fifoChecker) Finish(bool) *Violation { return c.v }
 // compares the vector against the receiver's delivered-prefix frontier,
 // consulting the out-of-order buffer for the gap. Deliveries of
 // never-broadcast messages (possible only on BC-invalid traces) carry no
-// vector and are tracked in explicit side sets, preserving the batch
-// verdict there too.
+// vector and are tracked in explicit side sets, preserving the reference
+// verdict there too. A delivery that misses several predecessors names
+// the one broadcast first; failing a broadcast one, the lowest id.
 type causalChecker struct {
-	i    int
-	v    *Violation
-	bseq map[model.ProcID][]model.MsgID
+	safety
+	bseq map[model.ProcID][]causalBcast
 	meta map[model.MsgID]*causalMsg
 	// hist[p][q] = length of the prefix of q's broadcasts in p's causal
 	// history; histUnknown[p] = never-broadcast messages in that history.
@@ -113,12 +104,19 @@ type causalMsg struct {
 	sender  model.ProcID
 	seq     int
 	vc      map[model.ProcID]int
-	unknown []model.MsgID
+	unknown []model.MsgID // ascending
+}
+
+// causalBcast is one broadcast in its sender's sequence, and the index of
+// its step.
+type causalBcast struct {
+	m  model.MsgID
+	at int
 }
 
 func newCausalChecker() *causalChecker {
 	return &causalChecker{
-		bseq:             make(map[model.ProcID][]model.MsgID),
+		bseq:             make(map[model.ProcID][]causalBcast),
 		meta:             make(map[model.MsgID]*causalMsg),
 		hist:             make(map[model.ProcID]map[model.ProcID]int),
 		histUnknown:      make(map[model.ProcID]map[model.MsgID]bool),
@@ -142,12 +140,34 @@ func (c *causalChecker) hasDelivered(p model.ProcID, m model.MsgID) bool {
 	return c.ooo[p][mm.sender][mm.seq]
 }
 
-func (c *causalChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
+// missing returns a message of mm's causal past that p has not
+// delivered: the one broadcast first, else the lowest never-broadcast one.
+func (c *causalChecker) missing(p model.ProcID, mm *causalMsg) (model.MsgID, bool) {
+	first := causalBcast{at: -1}
+	pre := c.prefix[p]
+	for q, need := range mm.vc {
+		// Per sender, the first gap is the missing message broadcast first.
+		for j := pre[q]; j < need; j++ {
+			if !c.ooo[p][q][j] {
+				if b := c.bseq[q][j]; first.at < 0 || b.at < first.at {
+					first = b
+				}
+				break
+			}
+		}
 	}
-	i := c.i
-	c.i++
+	if first.at >= 0 {
+		return first.m, true
+	}
+	for _, u := range mm.unknown {
+		if !c.hasDelivered(p, u) {
+			return u, true
+		}
+	}
+	return 0, false
+}
+
+func (c *causalChecker) feed(i int, s *model.Step) *Violation {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
 		p := s.Proc
@@ -157,11 +177,11 @@ func (c *causalChecker) Feed(s model.Step) *Violation {
 			vc[q] = l
 		}
 		var unk []model.MsgID
-		for m := range c.histUnknown[p] {
-			unk = append(unk, m)
+		if len(c.histUnknown[p]) > 0 {
+			unk = sortedKeys(c.histUnknown[p])
 		}
 		c.meta[s.Msg] = &causalMsg{sender: p, seq: seq, vc: vc, unknown: unk}
-		c.bseq[p] = append(c.bseq[p], s.Msg)
+		c.bseq[p] = append(c.bseq[p], causalBcast{m: s.Msg, at: i})
 		if c.hist[p] == nil {
 			c.hist[p] = make(map[model.ProcID]int)
 		}
@@ -171,7 +191,7 @@ func (c *causalChecker) Feed(s model.Step) *Violation {
 		mm := c.meta[s.Msg]
 		if mm == nil {
 			// Never broadcast: no causal past to check (matching the
-			// batch predicate); it still joins p's delivered set and
+			// reference predicate); it still joins p's delivered set and
 			// causal history.
 			if c.deliveredUnknown[p] == nil {
 				c.deliveredUnknown[p] = make(map[model.MsgID]bool)
@@ -184,25 +204,12 @@ func (c *causalChecker) Feed(s model.Step) *Violation {
 			return nil
 		}
 		// Every message in m's causal past must already be delivered at p.
-		pre := c.prefix[p]
-		for q, need := range mm.vc {
-			from := pre[q]
-			for j := from; j < need; j++ {
-				if !c.ooo[p][q][j] {
-					c.v = &Violation{Spec: "Causal-Order", Property: "Causal",
-						Detail: fmt.Sprintf("%v delivers m%d before its causal predecessor m%d", p, s.Msg, c.bseq[q][j]), StepIdx: i}
-					return c.v
-				}
-			}
-		}
-		for _, u := range mm.unknown {
-			if !c.hasDelivered(p, u) {
-				c.v = &Violation{Spec: "Causal-Order", Property: "Causal",
-					Detail: fmt.Sprintf("%v delivers m%d before its causal predecessor m%d", p, s.Msg, u), StepIdx: i}
-				return c.v
-			}
+		if pred, ok := c.missing(p, mm); ok {
+			return &Violation{Spec: "Causal-Order", Property: "Causal",
+				Detail: fmt.Sprintf("%v delivers m%d before its causal predecessor m%d", p, s.Msg, pred), StepIdx: i}
 		}
 		// Record the delivery in the prefix/out-of-order structure.
+		pre := c.prefix[p]
 		if pre == nil {
 			pre = make(map[model.ProcID]int)
 			c.prefix[p] = pre
@@ -250,12 +257,10 @@ func (c *causalChecker) Feed(s model.Step) *Violation {
 	return nil
 }
 
-func (c *causalChecker) Finish(bool) *Violation { return c.v }
-
 // orderTracker keeps, per process pair, the messages both have
 // first-delivered, each with its order key at both processes, and finds
 // the opposite-order conflicts a message creates when it becomes common
-// to the pair — the online replacement for the batch all-pairs scan.
+// to the pair — the online replacement for the reference all-pairs scan.
 //
 // A new common message m conflicts with an earlier common message only if
 // one process of the pair orders m strictly after it and the other
@@ -275,6 +280,13 @@ type orderTracker struct {
 }
 
 type pairPQ struct{ p, q model.ProcID } // p < q
+
+// conflict is a pair of messages delivered in opposite orders: a before b
+// at p, b before a at q.
+type conflict struct {
+	a, b model.MsgID
+	p, q model.ProcID
+}
 
 // orderPair is one pair's common messages, in the order they became
 // common, and the running maxima of each side's keys over them (index 0 is
@@ -301,7 +313,7 @@ type procKey struct {
 // each of them. It returns the conflicts this creates, pair by pair in
 // ascending order of the other process. Keys are compared strictly, so
 // equal keys (messages in the same delivered set, SCD mode) conflict with
-// nothing — matching the batch predicates.
+// nothing — matching the reference predicates.
 func (t *orderTracker) observe(p model.ProcID, m model.MsgID, key int, dels []procKey) []conflict {
 	var out []conflict
 	for _, d := range dels {
@@ -342,7 +354,7 @@ func (t *orderTracker) observe(p model.ProcID, m model.MsgID, key int, dels []pr
 // conflictStream adapts a step stream to orderTracker.observe calls: it
 // assigns order keys (delivery positions, or delivered-set ordinals in
 // SCD mode), deduplicates to first deliveries, and parks deliveries of
-// not-yet-broadcast messages until the broadcast arrives — the batch
+// not-yet-broadcast messages until the broadcast arrives — the reference
 // predicates scan broadcast messages only, so conflicts involving a
 // message only exist once it is broadcast.
 //
@@ -417,7 +429,7 @@ func (f *conflictStream) key(p model.ProcID, batch int64) int {
 }
 
 // step consumes one step and returns the new conflicts it creates.
-func (f *conflictStream) step(s model.Step) []conflict {
+func (f *conflictStream) step(s *model.Step) []conflict {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
 		ms := f.slot(s.Msg)
@@ -435,7 +447,7 @@ func (f *conflictStream) step(s model.Step) []conflict {
 	case model.KindDeliver:
 		p := s.Proc
 		if p < 1 || int(p) > f.n {
-			return nil // outside p1..pn: the batch pair scan ignores it
+			return nil // outside p1..pn: the reference pair scan ignores it
 		}
 		key := f.key(p, s.Batch)
 		ms := f.slot(s.Msg)
@@ -460,8 +472,7 @@ func (f *conflictStream) step(s model.Step) []conflict {
 
 // totalOrderChecker rejects on the first opposite-order conflict.
 type totalOrderChecker struct {
-	i  int
-	v  *Violation
+	safety
 	cs *conflictStream
 }
 
@@ -469,33 +480,25 @@ func newTotalOrderChecker(n int) *totalOrderChecker {
 	return &totalOrderChecker{cs: newConflictStream(n, false)}
 }
 
-func (c *totalOrderChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *totalOrderChecker) feed(i int, s *model.Step) *Violation {
 	if cf := c.cs.step(s); len(cf) > 0 {
 		x := cf[0]
-		c.v = &Violation{Spec: "Total-Order", Property: "Total-Order",
+		return &Violation{Spec: "Total-Order", Property: "Total-Order",
 			Detail: fmt.Sprintf("%v delivers m%d before m%d but %v delivers m%d before m%d", x.p, x.a, x.b, x.q, x.b, x.a), StepIdx: i}
 	}
-	return c.v
+	return nil
 }
-
-func (c *totalOrderChecker) Finish(bool) *Violation { return c.v }
 
 // cliqueChecker is the shared streaming core of k-BO and k-SCD: it
 // accumulates conflict edges and, on each new edge, searches for a
 // (k+1)-clique containing that edge among the endpoints' common
 // neighbors, under the shared exploration budget.
 type cliqueChecker struct {
+	safety
 	name     string
 	property string
 	detail   string // wording after the clique list
 	k        int
-	i        int
-	v        *Violation
 	cs       *conflictStream
 	adj      map[model.MsgID]map[model.MsgID]bool
 	budget   int
@@ -513,12 +516,7 @@ func newCliqueChecker(n, k int, scd bool, name, property, detail string, budget 
 	}
 }
 
-func (c *cliqueChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *cliqueChecker) feed(i int, s *model.Step) *Violation {
 	for _, cf := range c.cs.step(s) {
 		if c.adj[cf.a][cf.b] {
 			continue
@@ -535,8 +533,7 @@ func (c *cliqueChecker) Feed(s model.Step) *Violation {
 		sort.Slice(cands, func(x, y int) bool { return cands[x] < cands[y] })
 		clique, exceeded := findCliqueBudget(cands, c.adj, c.k+1-2, &c.budget)
 		if exceeded {
-			c.v = cliqueBudgetViolation(c.name, i)
-			return c.v
+			return cliqueBudgetViolation(c.name, i)
 		}
 		if clique == nil {
 			continue
@@ -547,14 +544,11 @@ func (c *cliqueChecker) Feed(s model.Step) *Violation {
 		for j, m := range full {
 			parts[j] = fmt.Sprintf("m%d", m)
 		}
-		c.v = &Violation{Spec: c.name, Property: c.property,
+		return &Violation{Spec: c.name, Property: c.property,
 			Detail: fmt.Sprintf("messages {%s} %s", strings.Join(parts, ","), fmt.Sprintf(c.detail, c.k+1)), StepIdx: i}
-		return c.v
 	}
 	return nil
 }
-
-func (c *cliqueChecker) Finish(bool) *Violation { return c.v }
 
 func linkConflict(adj map[model.MsgID]map[model.MsgID]bool, a, b model.MsgID) {
 	if adj[a] == nil {
@@ -569,17 +563,16 @@ func linkConflict(adj map[model.MsgID]map[model.MsgID]bool, a, b model.MsgID) {
 
 // firstKChecker counts distinct first-delivered messages.
 type firstKChecker struct {
+	safety
 	name      string
 	k, n      int
-	i         int
-	v         *Violation
 	firstSeen []bool
 	firsts    map[model.MsgID]bool
 }
 
-func newFirstKChecker(n, k int) *firstKChecker {
+func newFirstKChecker(n, k int, name string) *firstKChecker {
 	return &firstKChecker{
-		name:      fmt.Sprintf("First-%d-Order", k),
+		name:      name,
 		k:         k,
 		n:         n,
 		firstSeen: make([]bool, n+1),
@@ -587,12 +580,7 @@ func newFirstKChecker(n, k int) *firstKChecker {
 	}
 }
 
-func (c *firstKChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *firstKChecker) feed(i int, s *model.Step) *Violation {
 	if s.Kind != model.KindDeliver || s.Proc < 1 || int(s.Proc) > c.n {
 		return nil
 	}
@@ -602,23 +590,20 @@ func (c *firstKChecker) Feed(s model.Step) *Violation {
 	c.firstSeen[s.Proc] = true
 	c.firsts[s.Msg] = true
 	if len(c.firsts) > c.k {
-		c.v = &Violation{Spec: c.name, Property: "First-k",
+		return &Violation{Spec: c.name, Property: "First-k",
 			Detail: fmt.Sprintf("%d distinct messages delivered first, at most %d allowed", len(c.firsts), c.k), StepIdx: i}
 	}
-	return c.v
+	return nil
 }
-
-func (c *firstKChecker) Finish(bool) *Violation { return c.v }
 
 // ksteppedChecker tracks, per broadcast ordinal a, the size of the group
 // S_a and the set of S_a messages delivered first-within-S_a by some
-// process. Both counts only grow, so the latched verdict equals the batch
-// verdict on every trace where broadcasts precede deliveries.
+// process. Both counts only grow, so the latched verdict equals the
+// reference verdict on every trace where broadcasts precede deliveries.
 type ksteppedChecker struct {
+	safety
 	name        string
 	k, n        int
-	i           int
-	v           *Violation
 	bcount      []int
 	groupOf     map[model.MsgID]int
 	groupSize   map[int]int
@@ -626,9 +611,9 @@ type ksteppedChecker struct {
 	groupFirsts map[int]map[model.MsgID]bool
 }
 
-func newKSteppedChecker(n, k int) *ksteppedChecker {
+func newKSteppedChecker(n, k int, name string) *ksteppedChecker {
 	c := &ksteppedChecker{
-		name:        fmt.Sprintf("%d-Stepped-Order", k),
+		name:        name,
 		k:           k,
 		n:           n,
 		bcount:      make([]int, n+1),
@@ -647,17 +632,11 @@ func (c *ksteppedChecker) check(a, i int) *Violation {
 	if c.groupSize[a] <= c.k || len(c.groupFirsts[a]) <= c.k {
 		return nil
 	}
-	c.v = &Violation{Spec: c.name, Property: "k-Stepped",
+	return &Violation{Spec: c.name, Property: "k-Stepped",
 		Detail: fmt.Sprintf("step %d: %d distinct messages of S_%d delivered first within S_%d, at most %d allowed", a+1, len(c.groupFirsts[a]), a+1, a+1, c.k), StepIdx: i}
-	return c.v
 }
 
-func (c *ksteppedChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *ksteppedChecker) feed(i int, s *model.Step) *Violation {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
 		if s.Proc < 1 || int(s.Proc) > c.n {
@@ -692,24 +671,21 @@ func (c *ksteppedChecker) Feed(s model.Step) *Violation {
 	return nil
 }
 
-func (c *ksteppedChecker) Finish(bool) *Violation { return c.v }
-
 // saTaggedChecker counts, per k-SA identifier, the distinct SA-tagged
 // messages delivered first-among-tagged by some process.
 type saTaggedChecker struct {
+	safety
 	name    string
 	k, n    int
-	i       int
-	v       *Violation
 	bseen   map[model.MsgID]bool
 	tagged  map[model.MsgID]model.KSAID
 	seenObj []map[model.KSAID]bool
 	firsts  map[model.KSAID]map[model.MsgID]bool
 }
 
-func newSATaggedChecker(n, k int) *saTaggedChecker {
+func newSATaggedChecker(n, k int, name string) *saTaggedChecker {
 	c := &saTaggedChecker{
-		name:    fmt.Sprintf("SA-Tagged-%d-Order", k),
+		name:    name,
 		k:       k,
 		n:       n,
 		bseen:   make(map[model.MsgID]bool),
@@ -723,12 +699,7 @@ func newSATaggedChecker(n, k int) *saTaggedChecker {
 	return c
 }
 
-func (c *saTaggedChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *saTaggedChecker) feed(i int, s *model.Step) *Violation {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
 		if c.bseen[s.Msg] {
@@ -755,14 +726,12 @@ func (c *saTaggedChecker) Feed(s model.Step) *Violation {
 		}
 		c.firsts[obj][s.Msg] = true
 		if len(c.firsts[obj]) > c.k {
-			c.v = &Violation{Spec: c.name, Property: "SA-Tagged-First-k",
+			return &Violation{Spec: c.name, Property: "SA-Tagged-First-k",
 				Detail: fmt.Sprintf("%v: %d distinct SA-tagged messages delivered first, at most %d allowed", obj, len(c.firsts[obj]), c.k), StepIdx: i}
 		}
 	}
-	return c.v
+	return nil
 }
-
-func (c *saTaggedChecker) Finish(bool) *Violation { return c.v }
 
 // mutualChecker detects mutual invisibility online: when a process r
 // delivers a message x broadcast by w ≠ r, the delivery can only complete
@@ -774,8 +743,7 @@ func (c *saTaggedChecker) Finish(bool) *Violation { return c.v }
 // who first-delivered each message), so late broadcasts cannot hide a
 // completed pattern.
 type mutualChecker struct {
-	i       int
-	v       *Violation
+	safety
 	bcaster map[model.MsgID]model.ProcID
 	dcount  map[model.ProcID]int
 	pos     map[model.ProcID]map[model.MsgID]int
@@ -793,12 +761,7 @@ func newMutualChecker() *mutualChecker {
 	}
 }
 
-func (c *mutualChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *mutualChecker) feed(i int, s *model.Step) *Violation {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
 		w, x := s.Proc, s.Msg
@@ -822,9 +785,8 @@ func (c *mutualChecker) Feed(s model.Step) *Violation {
 			for _, o := range c.own[r] {
 				ro := c.pos[r][o]
 				if wo, ok2 := c.pos[w][o]; ok2 && ro < rx && wx < wo {
-					c.v = &Violation{Spec: "Mutual-Order", Property: "Mutual",
+					return &Violation{Spec: "Mutual-Order", Property: "Mutual",
 						Detail: fmt.Sprintf("%v delivers its own m%d before m%d, and %v delivers its own m%d before m%d: the two broadcasts are mutually invisible", r, o, x, w, x, o), StepIdx: i}
-					return c.v
 				}
 			}
 		}
@@ -846,9 +808,8 @@ func (c *mutualChecker) Feed(s model.Step) *Violation {
 			if wx, ok := wpos[x]; ok { // w delivered its own x already
 				for _, o := range c.own[r] {
 					if wo, ok2 := wpos[o]; ok2 && wx < wo {
-						c.v = &Violation{Spec: "Mutual-Order", Property: "Mutual",
+						return &Violation{Spec: "Mutual-Order", Property: "Mutual",
 							Detail: fmt.Sprintf("%v delivers its own m%d before m%d, and %v delivers its own m%d before m%d: the two broadcasts are mutually invisible", r, o, x, w, x, o), StepIdx: i}
-						return c.v
 					}
 				}
 			}
@@ -862,14 +823,10 @@ func (c *mutualChecker) Feed(s model.Step) *Violation {
 	return nil
 }
 
-func (c *mutualChecker) Finish(bool) *Violation { return c.v }
-
-// uniformChecker evaluates BC-Uniform-Termination at Finish from the
-// retained delivered-by tables.
+// uniformChecker evaluates BC-Uniform-Termination at finish from the
+// retained delivered-by tables, naming the lowest message it fails for.
 type uniformChecker struct {
 	crashTracker
-	i           int
-	v           *Violation
 	bcast       map[model.MsgID]bool
 	deliveredBy map[model.MsgID]model.ProcID
 	delivered   map[model.ProcID]map[model.MsgID]bool
@@ -884,11 +841,7 @@ func newUniformChecker(n int) *uniformChecker {
 	}
 }
 
-func (c *uniformChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	c.i++
+func (c *uniformChecker) feed(_ int, s *model.Step) *Violation {
 	c.observe(s)
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
@@ -909,11 +862,11 @@ func (c *uniformChecker) Feed(s model.Step) *Violation {
 	return nil
 }
 
-func (c *uniformChecker) Finish(complete bool) *Violation {
-	if c.v != nil || !complete {
-		return c.v
+func (c *uniformChecker) finish(complete bool) *Violation {
+	if !complete {
+		return nil
 	}
-	for m := range c.bcast {
+	for _, m := range sortedKeys(c.bcast) {
 		by, ok := c.deliveredBy[m]
 		if !ok {
 			continue
@@ -924,9 +877,8 @@ func (c *uniformChecker) Finish(complete bool) *Violation {
 				continue
 			}
 			if !c.delivered[pid][m] {
-				c.v = &Violation{Spec: "Uniform-Reliable-Broadcast", Property: "BC-Uniform-Termination",
+				return &Violation{Spec: "Uniform-Reliable-Broadcast", Property: "BC-Uniform-Termination",
 					Detail: fmt.Sprintf("m%d was B-delivered by %v but correct %v never B-delivers it", m, by, pid), StepIdx: -1}
-				return c.v
 			}
 		}
 	}

@@ -14,8 +14,7 @@ import (
 
 // scdChecker rejects on the first strictly-opposite set ordering.
 type scdChecker struct {
-	i  int
-	v  *Violation
+	safety
 	cs *conflictStream
 }
 
@@ -23,18 +22,11 @@ func newSCDChecker(n int) *scdChecker {
 	return &scdChecker{cs: newConflictStream(n, true)}
 }
 
-func (c *scdChecker) Feed(s model.Step) *Violation {
-	if c.v != nil {
-		return c.v
-	}
-	i := c.i
-	c.i++
+func (c *scdChecker) feed(i int, s *model.Step) *Violation {
 	if cf := c.cs.step(s); len(cf) > 0 {
 		x := cf[0]
-		c.v = &Violation{Spec: "SCD-Order", Property: "Set-Constrained-Delivery",
+		return &Violation{Spec: "SCD-Order", Property: "Set-Constrained-Delivery",
 			Detail: fmt.Sprintf("%v delivers m%d in a strictly earlier set than m%d, while %v delivers m%d strictly earlier than m%d", x.p, x.a, x.b, x.q, x.b, x.a), StepIdx: i}
 	}
-	return c.v
+	return nil
 }
-
-func (c *scdChecker) Finish(bool) *Violation { return c.v }

@@ -10,10 +10,11 @@ import (
 )
 
 // Tests for the incremental checking layer: the online checkers must be
-// observationally equivalent to the retained whole-trace predicates
-// (differential test over the full registry), must latch (online
-// prefix-monotonicity), and must run in O(state) memory on unbounded
-// streams (the million-delivery test feeds steps that are never stored).
+// observationally equivalent to the whole-trace reference predicates of
+// reference_test.go (differential test over the full registry), must latch
+// (online prefix-monotonicity), and must run in O(state) memory on
+// unbounded streams (the million-delivery test feeds steps that are never
+// stored).
 
 // registryUnderTest instantiates every registry entry at the degrees the
 // tests sweep.
@@ -94,14 +95,14 @@ func genTraceFull(src *rng.Source, n, msgs int) *trace.Trace {
 	return tr
 }
 
-// TestOnlineEqualsBatch is the differential test of the refactor: for
-// every registry spec, streaming a trace through the online checker must
-// produce the same verdict as the retained whole-trace predicate. Leaf
-// specs must agree on the violated property; composites are only required
-// to agree on admissibility (the batch form blames the first component in
-// declaration order, the online form the first in time order). Specs whose
-// checker latches at the exact batch step index are additionally compared
-// on StepIdx.
+// TestOnlineEqualsBatch is the differential test of the leaf checkers: for
+// every registry spec, Check must produce the same verdict as the spec's
+// reference predicates taken in declaration order, composites included.
+// The online checker of a one-leaf spec must produce that verdict too; for
+// a composite it blames the leaf violated earliest rather than the first
+// declared, so it must agree with them on admissibility only. Specs whose
+// checkers latch at the exact reference step index are additionally
+// compared on StepIdx.
 func TestOnlineEqualsBatch(t *testing.T) {
 	src := rng.New(412)
 	specs := registryUnderTest()
@@ -110,22 +111,27 @@ func TestOnlineEqualsBatch(t *testing.T) {
 		for _, complete := range []bool{false, true} {
 			tr.Complete = complete
 			for _, su := range specs {
-				batch := CheckBatch(su.s, tr)
+				ref := checkReference(su.s, tr)
+				got := su.s.Check(tr)
 				online := RunChecker(NewCheckerFor(su.s, tr.X.N), tr)
-				if su.e.Composite {
-					if (batch == nil) != (online == nil) {
-						t.Fatalf("round %d complete=%v: %s admissibility diverges: batch=%v online=%v\ntrace:\n%s",
-							round, complete, su.label, batch, online, tr.X)
+				if !SameVerdict(ref, got) {
+					t.Fatalf("round %d complete=%v: %s verdicts diverge: reference=%v check=%v\ntrace:\n%s",
+						round, complete, su.label, ref, got, tr.X)
+				}
+				if len(su.s.leaves) > 1 {
+					if (ref == nil) != (online == nil) {
+						t.Fatalf("round %d complete=%v: %s admissibility diverges: reference=%v online=%v\ntrace:\n%s",
+							round, complete, su.label, ref, online, tr.X)
 					}
 					continue
 				}
-				if !SameVerdict(batch, online) {
-					t.Fatalf("round %d complete=%v: %s verdicts diverge: batch=%v online=%v\ntrace:\n%s",
-						round, complete, su.label, batch, online, tr.X)
+				if !SameVerdict(ref, online) {
+					t.Fatalf("round %d complete=%v: %s verdicts diverge: reference=%v online=%v\ntrace:\n%s",
+						round, complete, su.label, ref, online, tr.X)
 				}
-				if su.e.ExactStep && batch != nil && batch.StepIdx != online.StepIdx {
-					t.Fatalf("round %d complete=%v: %s step index diverges: batch=%d online=%d\ntrace:\n%s",
-						round, complete, su.label, batch.StepIdx, online.StepIdx, tr.X)
+				if su.e.ExactStep && ref != nil && (ref.StepIdx != got.StepIdx || ref.StepIdx != online.StepIdx) {
+					t.Fatalf("round %d complete=%v: %s step index diverges: reference=%d check=%d online=%d\ntrace:\n%s",
+						round, complete, su.label, ref.StepIdx, got.StepIdx, online.StepIdx, tr.X)
 				}
 			}
 		}
@@ -135,8 +141,8 @@ func TestOnlineEqualsBatch(t *testing.T) {
 // TestOnlineEqualsBatchOnCorners pins the conflict-family checkers on the
 // corner the random generator never produces: deliveries that precede (or
 // lack) the corresponding broadcast. Their streams park such deliveries
-// until the broadcast arrives, which must reproduce the batch predicates'
-// broadcast-only scans exactly.
+// until the broadcast arrives, which must reproduce the reference
+// predicates' broadcast-only scans exactly.
 func TestOnlineEqualsBatchOnCorners(t *testing.T) {
 	n := 3
 	b := func(p model.ProcID, m model.MsgID) []model.Step {
@@ -163,13 +169,13 @@ func TestOnlineEqualsBatchOnCorners(t *testing.T) {
 			[]model.Step{d(1, 1, 1), d(1, 2, 2), d(2, 2, 2), d(2, 1, 1)},
 			b(2, 2),
 		),
-		// m2 is never broadcast at all: the batch conflict scan (broadcast
-		// messages only) ignores it, so no conflict exists.
+		// m2 is never broadcast at all: the reference conflict scan
+		// (broadcast messages only) ignores it, so no conflict exists.
 		"never-broadcast": cat(
 			b(1, 1),
 			[]model.Step{d(1, 1, 1), d(1, 2, 2), d(2, 2, 2), d(2, 1, 1)},
 		),
-		// A delivery by a process id outside 1..n: the batch pair scans
+		// A delivery by a process id outside 1..n: the reference pair scans
 		// never look at it.
 		"foreign-proc": cat(
 			b(1, 1), b(2, 2),
@@ -179,10 +185,10 @@ func TestOnlineEqualsBatchOnCorners(t *testing.T) {
 	conflictFamily := []Spec{TotalOrder(), KBOOrder(1), KBOOrder(2), SCDOrder(), KSCDOrder(1), MutualOrder(), FirstKOrder(1)}
 	for name, tr := range corners {
 		for _, s := range conflictFamily {
-			batch := CheckBatch(s, tr)
+			ref := checkReference(s, tr)
 			online := RunChecker(NewCheckerFor(s, tr.X.N), tr)
-			if (batch == nil) != (online == nil) {
-				t.Errorf("%s: %s diverges: batch=%v online=%v", name, s.Name(), batch, online)
+			if (ref == nil) != (online == nil) {
+				t.Errorf("%s: %s diverges: reference=%v online=%v", name, s.Name(), ref, online)
 			}
 		}
 	}
@@ -216,7 +222,7 @@ func TestOnlineCheckersLatch(t *testing.T) {
 	}
 }
 
-// TestBatchPrefixMonotoneRegistry: the retained batch predicates of every
+// TestBatchPrefixMonotoneRegistry: the reference predicates of every
 // pure-safety registry entry are prefix-monotone — a violated prefix means
 // a violated full trace. (Liveness entries are excluded: an incomplete
 // prefix can be inadmissible for a pending delivery the full trace
@@ -230,10 +236,10 @@ func TestBatchPrefixMonotoneRegistry(t *testing.T) {
 			if su.e.Liveness {
 				continue
 			}
-			full := CheckBatch(su.s, tr) != nil
+			full := checkReference(su.s, tr) != nil
 			for cut := 0; cut <= tr.X.Len(); cut++ {
 				prefix := &trace.Trace{X: &model.Execution{N: tr.X.N, Steps: tr.X.Steps[:cut]}}
-				if CheckBatch(su.s, prefix) != nil && !full {
+				if checkReference(su.s, prefix) != nil && !full {
 					t.Fatalf("round %d: %s violated at prefix %d but not on the full trace:\n%s", round, su.label, cut, tr.X)
 				}
 			}
@@ -280,8 +286,10 @@ func TestCliqueBudget(t *testing.T) {
 
 	// A starved checker must fail with the budget violation, not a wrong
 	// admissibility answer and not a hang.
-	c := newCliqueChecker(3, 11, false, "2-BO-Broadcast", "k-Bounded-Order", kboCliqueDetail, 5)
-	v := RunChecker(c, tr)
+	starved := leafSpec("2-BO-Broadcast", func(n int) leafChecker {
+		return newCliqueChecker(n, 11, false, "2-BO-Broadcast", "k-Bounded-Order", kboCliqueDetail, 5)
+	})
+	v := RunChecker(NewCheckerFor(starved, 3), tr)
 	if v == nil || v.Property != PropCliqueBudget {
 		t.Fatalf("budget=5: want %s violation, got %v", PropCliqueBudget, v)
 	}

@@ -2,11 +2,9 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nobroadcast/internal/model"
-	"nobroadcast/internal/trace"
 )
 
 // This file implements the ordering predicates of Section 3.2 and the
@@ -17,8 +15,7 @@ import (
 // FIFOOrder checks FIFO delivery: if a process broadcasts m before m', no
 // process delivers m' without having delivered m first.
 func FIFOOrder() Spec {
-	return streamSpec{name: "FIFO-Order", batch: checkFIFO,
-		mk: func(int) Checker { return newFIFOChecker() }}
+	return leafSpec("FIFO-Order", func(int) leafChecker { return newFIFOChecker() })
 }
 
 // FIFOBroadcast is FIFO order plus the universal broadcast properties.
@@ -26,52 +23,12 @@ func FIFOBroadcast() Spec {
 	return All("FIFO-Broadcast", BasicBroadcast(), FIFOOrder())
 }
 
-func checkFIFO(t *trace.Trace) *Violation {
-	x := t.X
-	// seq[m] = (sender, index of m in sender's broadcast sequence).
-	type slot struct {
-		from model.ProcID
-		idx  int
-	}
-	seq := make(map[model.MsgID]slot)
-	counts := make(map[model.ProcID]int)
-	// deliveredCount[p][sender] = number of sender's messages p delivered,
-	// which must advance in broadcast order with no gaps.
-	deliveredIdx := make(map[model.ProcID]map[model.ProcID]int)
-	bseq := make(map[model.ProcID][]model.MsgID)
-	for i, s := range x.Steps {
-		switch s.Kind {
-		case model.KindBroadcastInvoke:
-			seq[s.Msg] = slot{from: s.Proc, idx: counts[s.Proc]}
-			counts[s.Proc]++
-			bseq[s.Proc] = append(bseq[s.Proc], s.Msg)
-		case model.KindDeliver:
-			sl, ok := seq[s.Msg]
-			if !ok {
-				continue // BC-Validity's concern, not FIFO's
-			}
-			dm := deliveredIdx[s.Proc]
-			if dm == nil {
-				dm = make(map[model.ProcID]int)
-				deliveredIdx[s.Proc] = dm
-			}
-			if want := dm[sl.from]; sl.idx != want {
-				return &Violation{Spec: "FIFO-Order", Property: "FIFO",
-					Detail: fmt.Sprintf("%v delivers m%d (message #%d of %v) but has delivered only %d of %v's earlier messages", s.Proc, s.Msg, sl.idx+1, sl.from, want, sl.from), StepIdx: i}
-			}
-			dm[sl.from]++
-		}
-	}
-	return nil
-}
-
 // CausalOrder checks causal delivery: if broadcast(m) happened-before
 // broadcast(m'), no process delivers m' without having delivered m first.
 // Happened-before is the transitive closure of (a) local broadcast order
 // and (b) delivering m before broadcasting m'.
 func CausalOrder() Spec {
-	return streamSpec{name: "Causal-Order", batch: checkCausal,
-		mk: func(int) Checker { return newCausalChecker() }}
+	return leafSpec("Causal-Order", func(int) leafChecker { return newCausalChecker() })
 }
 
 // CausalBroadcast is causal order plus the universal broadcast properties.
@@ -79,132 +36,16 @@ func CausalBroadcast() Spec {
 	return All("Causal-Broadcast", BasicBroadcast(), CausalOrder())
 }
 
-func checkCausal(t *trace.Trace) *Violation {
-	x := t.X
-	// past[m] = set of messages whose broadcast happened-before m's.
-	past := make(map[model.MsgID]map[model.MsgID]bool)
-	// procPast[p] = messages p has broadcast or delivered so far (its
-	// causal history of broadcast events).
-	procPast := make(map[model.ProcID]map[model.MsgID]bool)
-	delivered := make(map[model.ProcID]map[model.MsgID]bool)
-	addAll := func(dst, src map[model.MsgID]bool) {
-		for m := range src {
-			dst[m] = true
-		}
-	}
-	for i, s := range x.Steps {
-		switch s.Kind {
-		case model.KindBroadcastInvoke:
-			pp := procPast[s.Proc]
-			if pp == nil {
-				pp = make(map[model.MsgID]bool)
-				procPast[s.Proc] = pp
-			}
-			mp := make(map[model.MsgID]bool, len(pp))
-			addAll(mp, pp)
-			past[s.Msg] = mp
-			pp[s.Msg] = true
-		case model.KindDeliver:
-			// Check: every message in m's causal past must already be
-			// delivered at s.Proc.
-			dm := delivered[s.Proc]
-			if dm == nil {
-				dm = make(map[model.MsgID]bool)
-				delivered[s.Proc] = dm
-			}
-			for pred := range past[s.Msg] {
-				if !dm[pred] {
-					return &Violation{Spec: "Causal-Order", Property: "Causal",
-						Detail: fmt.Sprintf("%v delivers m%d before its causal predecessor m%d", s.Proc, s.Msg, pred), StepIdx: i}
-				}
-			}
-			dm[s.Msg] = true
-			pp := procPast[s.Proc]
-			if pp == nil {
-				pp = make(map[model.MsgID]bool)
-				procPast[s.Proc] = pp
-			}
-			// The delivered message and its past join p's causal history.
-			pp[s.Msg] = true
-			addAll(pp, past[s.Msg])
-		}
-	}
-	return nil
-}
-
 // TotalOrder checks pairwise delivery agreement: no two processes deliver
 // two messages in opposite orders. This is the safety core of Total Order
 // Broadcast, the abstraction computationally equivalent to consensus [7].
 func TotalOrder() Spec {
-	return streamSpec{name: "Total-Order", batch: checkTotalOrder,
-		mk: func(n int) Checker { return newTotalOrderChecker(n) }}
-}
-
-func checkTotalOrder(t *trace.Trace) *Violation {
-	ix := t.Index()
-	if a, b, p, q := findConflict(t.X.N, ix); a != model.NoMsg {
-		return &Violation{Spec: "Total-Order", Property: "Total-Order",
-			Detail: fmt.Sprintf("%v delivers m%d before m%d but %v delivers m%d before m%d", p, a, b, q, b, a), StepIdx: -1}
-	}
-	return nil
+	return leafSpec("Total-Order", func(n int) leafChecker { return newTotalOrderChecker(n) })
 }
 
 // TotalOrderBroadcast is total order plus the universal properties.
 func TotalOrderBroadcast() Spec {
 	return All("Total-Order-Broadcast", BasicBroadcast(), TotalOrder())
-}
-
-// findConflict returns one conflicting pair (a delivered before b at p, b
-// before a at q), or NoMsg if none exists.
-func findConflict(n int, ix *trace.Index) (a, b model.MsgID, p, q model.ProcID) {
-	conflicts := conflictPairs(n, ix, 1)
-	if len(conflicts) == 0 {
-		return model.NoMsg, model.NoMsg, model.NoProc, model.NoProc
-	}
-	c := conflicts[0]
-	return c.a, c.b, c.p, c.q
-}
-
-type conflict struct {
-	a, b model.MsgID
-	p, q model.ProcID
-}
-
-// conflictPairs computes the pairs of messages delivered in opposite
-// orders by two processes. A pair conflicts only when both processes
-// delivered both messages: "delivered versus not yet delivered" can still
-// be repaired in an extension, so counting it would break prefix-safety.
-// If limit > 0, at most limit conflicts are returned.
-func conflictPairs(n int, ix *trace.Index, limit int) []conflict {
-	msgs := ix.MessagesSorted()
-	var out []conflict
-	for i := 0; i < len(msgs); i++ {
-		for j := i + 1; j < len(msgs); j++ {
-			a, b := msgs[i], msgs[j]
-			var before, after model.ProcID
-			for pn := 1; pn <= n; pn++ {
-				p := model.ProcID(pn)
-				pos := ix.DeliveryPos[p]
-				pa, oka := pos[a]
-				pb, okb := pos[b]
-				if !oka || !okb {
-					continue
-				}
-				if pa < pb {
-					before = p
-				} else {
-					after = p
-				}
-			}
-			if before != model.NoProc && after != model.NoProc {
-				out = append(out, conflict{a: a, b: b, p: before, q: after})
-				if limit > 0 && len(out) >= limit {
-					return out
-				}
-			}
-		}
-	}
-	return out
 }
 
 // KBOOrder checks the ordering property of k-Bounded Order Broadcast [15]:
@@ -215,13 +56,9 @@ func conflictPairs(n int, ix *trace.Index, limit int) []conflict {
 // irreparable, so the check is prefix-safe.
 func KBOOrder(k int) Spec {
 	name := fmt.Sprintf("%d-BO-Order", k)
-	return streamSpec{
-		name:  name,
-		batch: func(t *trace.Trace) *Violation { return checkKBO(t, k) },
-		mk: func(n int) Checker {
-			return newCliqueChecker(n, k, false, name, "k-Bounded-Order", kboCliqueDetail, DefaultCliqueBudget)
-		},
-	}
+	return leafSpec(name, func(n int) leafChecker {
+		return newCliqueChecker(n, k, false, name, "k-Bounded-Order", kboCliqueDetail, DefaultCliqueBudget)
+	})
 }
 
 // KBOBroadcast is the k-BO ordering property plus the universal properties.
@@ -235,45 +72,6 @@ const (
 	kboCliqueDetail  = "are pairwise delivered in opposite orders by some processes; every set of %d messages must contain a commonly-ordered pair"
 	kscdCliqueDetail = "are pairwise delivered in strictly opposite set orders; every set of %d messages must contain a commonly set-ordered pair"
 )
-
-func checkKBO(t *trace.Trace, k int) *Violation {
-	name := fmt.Sprintf("%d-BO-Order", k)
-	ix := t.Index()
-	pairs := conflictPairs(t.X.N, ix, 0)
-	if len(pairs) == 0 {
-		return nil
-	}
-	adj := make(map[model.MsgID]map[model.MsgID]bool)
-	for _, c := range pairs {
-		if adj[c.a] == nil {
-			adj[c.a] = make(map[model.MsgID]bool)
-		}
-		if adj[c.b] == nil {
-			adj[c.b] = make(map[model.MsgID]bool)
-		}
-		adj[c.a][c.b] = true
-		adj[c.b][c.a] = true
-	}
-	nodes := make([]model.MsgID, 0, len(adj))
-	for m := range adj {
-		nodes = append(nodes, m)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	budget := DefaultCliqueBudget
-	clique, exceeded := findCliqueBudget(nodes, adj, k+1, &budget)
-	if exceeded {
-		return cliqueBudgetViolation(name, -1)
-	}
-	if clique != nil {
-		parts := make([]string, len(clique))
-		for i, m := range clique {
-			parts[i] = fmt.Sprintf("m%d", m)
-		}
-		return &Violation{Spec: name, Property: "k-Bounded-Order",
-			Detail: fmt.Sprintf("messages {%s} %s", strings.Join(parts, ","), fmt.Sprintf(kboCliqueDetail, k+1)), StepIdx: -1}
-	}
-	return nil
-}
 
 // DefaultCliqueBudget bounds the branch-and-bound clique search (in
 // candidate-node expansions). Clique is NP-hard in general; an adversarial
@@ -293,21 +91,13 @@ func cliqueBudgetViolation(name string, stepIdx int) *Violation {
 // PropCliqueBudget is the Property of a budget-exceeded violation.
 const PropCliqueBudget = "Clique-Search-Budget"
 
-// findClique searches for a clique of the requested size in the conflict
-// graph, using a simple branch-and-bound over nodes in increasing id
-// order. This is exact, not approximate; findCliqueBudget bounds the
-// search and reports exhaustion distinctly.
-func findClique(nodes []model.MsgID, adj map[model.MsgID]map[model.MsgID]bool, size int) []model.MsgID {
-	budget := DefaultCliqueBudget
-	clique, _ := findCliqueBudget(nodes, adj, size, &budget)
-	return clique
-}
-
-// findCliqueBudget is findClique under an explicit expansion budget. Every
-// candidate node considered decrements *budget; when it runs out the
-// search stops and exceeded is true (the clique result is then
-// meaningless). The budget is a pointer so incremental callers can spread
-// one budget across many searches.
+// findCliqueBudget searches for a clique of the requested size in the
+// conflict graph, using a simple branch-and-bound over nodes in the given
+// order. This is exact, not approximate, but bounded: every candidate node
+// considered decrements *budget; when it runs out the search stops and
+// exceeded is true (the clique result is then meaningless). The budget is
+// a pointer so incremental callers can spread one budget across many
+// searches.
 func findCliqueBudget(nodes []model.MsgID, adj map[model.MsgID]map[model.MsgID]bool, size int, budget *int) (clique []model.MsgID, exceeded bool) {
 	var cur []model.MsgID
 	var rec func(start int) []model.MsgID
@@ -357,26 +147,8 @@ func findCliqueBudget(nodes []model.MsgID, adj map[model.MsgID]map[model.MsgID]b
 // equivalent to one instance of k-SA, is content-neutral but NOT
 // compositional; the symmetry testers demonstrate it.
 func FirstKOrder(k int) Spec {
-	return streamSpec{
-		name:  fmt.Sprintf("First-%d-Order", k),
-		batch: func(t *trace.Trace) *Violation { return checkFirstK(t, k) },
-		mk:    func(n int) Checker { return newFirstKChecker(n, k) },
-	}
-}
-
-func checkFirstK(t *trace.Trace, k int) *Violation {
-	ix := t.Index()
-	firsts := make(map[model.MsgID]bool)
-	for pn := 1; pn <= t.X.N; pn++ {
-		if ds := ix.Deliveries[model.ProcID(pn)]; len(ds) > 0 {
-			firsts[ds[0]] = true
-		}
-	}
-	if len(firsts) > k {
-		return &Violation{Spec: fmt.Sprintf("First-%d-Order", k), Property: "First-k",
-			Detail: fmt.Sprintf("%d distinct messages delivered first, at most %d allowed", len(firsts), k), StepIdx: -1}
-	}
-	return nil
+	name := fmt.Sprintf("First-%d-Order", k)
+	return leafSpec(name, func(n int) leafChecker { return newFirstKChecker(n, k, name) })
 }
 
 // FirstKBroadcast composes the first-k order with the universal properties.
@@ -391,57 +163,14 @@ func FirstKBroadcast(k int) Spec {
 // spec content-neutral but not compositional (the restriction shifts the
 // sequence numbers a).
 func KSteppedOrder(k int) Spec {
-	return streamSpec{
-		name:  fmt.Sprintf("%d-Stepped-Order", k),
-		batch: func(t *trace.Trace) *Violation { return checkKStepped(t, k) },
-		mk:    func(n int) Checker { return newKSteppedChecker(n, k) },
-	}
+	name := fmt.Sprintf("%d-Stepped-Order", k)
+	return leafSpec(name, func(n int) leafChecker { return newKSteppedChecker(n, k, name) })
 }
 
 // KSteppedBroadcast composes the k-stepped order with the universal
 // properties.
 func KSteppedBroadcast(k int) Spec {
 	return All(fmt.Sprintf("%d-Stepped-Broadcast", k), BasicBroadcast(), KSteppedOrder(k))
-}
-
-func checkKStepped(t *trace.Trace, k int) *Violation {
-	name := fmt.Sprintf("%d-Stepped-Order", k)
-	ix := t.Index()
-	// Group messages by their broadcast sequence number a (0-based here).
-	bySeq := make(map[int]map[model.MsgID]bool)
-	maxSeq := 0
-	for pn := 1; pn <= t.X.N; pn++ {
-		for a, m := range ix.BroadcastSeq[model.ProcID(pn)] {
-			if bySeq[a] == nil {
-				bySeq[a] = make(map[model.MsgID]bool)
-			}
-			bySeq[a][m] = true
-			if a > maxSeq {
-				maxSeq = a
-			}
-		}
-	}
-	for a := 0; a <= maxSeq; a++ {
-		sa := bySeq[a]
-		if len(sa) <= k {
-			continue // at most k messages exist: property vacuous
-		}
-		firsts := make(map[model.MsgID]bool)
-		for pn := 1; pn <= t.X.N; pn++ {
-			p := model.ProcID(pn)
-			for _, m := range ix.Deliveries[p] {
-				if sa[m] {
-					firsts[m] = true
-					break // only the first S_a message of p counts
-				}
-			}
-		}
-		if len(firsts) > k {
-			return &Violation{Spec: name, Property: "k-Stepped",
-				Detail: fmt.Sprintf("step %d: %d distinct messages of S_%d delivered first within S_%d, at most %d allowed", a+1, len(firsts), a+1, a+1, k), StepIdx: -1}
-		}
-	}
-	return nil
 }
 
 // SA-tagged payloads implement the non-content-neutral strawman of Section
@@ -481,53 +210,12 @@ func ParseSATag(p model.Payload) (obj model.KSAID, v model.Value, ok bool) {
 // every subset of messages the same way — but inspects message contents,
 // violating content-neutrality, which the symmetry testers demonstrate.
 func SATaggedOrder(k int) Spec {
-	return streamSpec{
-		name:  fmt.Sprintf("SA-Tagged-%d-Order", k),
-		batch: func(t *trace.Trace) *Violation { return checkSATagged(t, k) },
-		mk:    func(n int) Checker { return newSATaggedChecker(n, k) },
-	}
+	name := fmt.Sprintf("SA-Tagged-%d-Order", k)
+	return leafSpec(name, func(n int) leafChecker { return newSATaggedChecker(n, k, name) })
 }
 
 // SATaggedBroadcast composes the SA-tagged order with the universal
 // properties.
 func SATaggedBroadcast(k int) Spec {
 	return All(fmt.Sprintf("SA-Tagged-%d-Broadcast", k), BasicBroadcast(), SATaggedOrder(k))
-}
-
-func checkSATagged(t *trace.Trace, k int) *Violation {
-	name := fmt.Sprintf("SA-Tagged-%d-Order", k)
-	ix := t.Index()
-	// tagged[obj] = set of messages of the form SA(obj, _).
-	tagged := make(map[model.KSAID]map[model.MsgID]bool)
-	for m, info := range ix.Broadcasts {
-		if obj, _, ok := ParseSATag(info.Payload); ok {
-			if tagged[obj] == nil {
-				tagged[obj] = make(map[model.MsgID]bool)
-			}
-			tagged[obj][m] = true
-		}
-	}
-	objs := make([]model.KSAID, 0, len(tagged))
-	for o := range tagged {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	for _, obj := range objs {
-		set := tagged[obj]
-		firsts := make(map[model.MsgID]bool)
-		for pn := 1; pn <= t.X.N; pn++ {
-			p := model.ProcID(pn)
-			for _, m := range ix.Deliveries[p] {
-				if set[m] {
-					firsts[m] = true
-					break
-				}
-			}
-		}
-		if len(firsts) > k {
-			return &Violation{Spec: name, Property: "SA-Tagged-First-k",
-				Detail: fmt.Sprintf("%v: %d distinct SA-tagged messages delivered first, at most %d allowed", obj, len(firsts), k), StepIdx: -1}
-		}
-	}
-	return nil
 }

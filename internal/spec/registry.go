@@ -7,7 +7,7 @@ import (
 
 // The registry names every specification this package defines, for the
 // CLIs (cmd/checker -spec) and for table-driven tests that want to sweep
-// the full spec inventory (prefix monotonicity, online-vs-batch
+// the full spec inventory (prefix monotonicity, online-vs-reference
 // differentials) without maintaining a parallel list.
 
 // Entry is one named specification constructor.
@@ -19,16 +19,13 @@ type Entry struct {
 	Parameterized bool
 	// New constructs the spec.
 	New func(k int) Spec
-	// Composite reports that the spec is an All() composition (its batch
-	// check is component-ordered, so online and batch forms may blame a
-	// different component on multiply-violated traces).
-	Composite bool
 	// Liveness reports that the spec includes clauses evaluated only on
 	// complete traces (so it is not a pure prefix-monotone safety spec).
 	Liveness bool
-	// ExactStep reports that the spec's online checker latches at exactly
-	// the step index the batch predicate reports; other specs report -1
-	// or scan-order witnesses. Used by the differential tests.
+	// ExactStep reports that the spec has one leaf and that both its
+	// online checker and Check latch at exactly the step index its
+	// reference predicate reports; other references report -1 or
+	// scan-order witnesses. Used by the differential tests.
 	ExactStep bool
 }
 
@@ -54,17 +51,17 @@ func Registry() []Entry {
 		{Key: "kscd-order", Parameterized: true, New: func(k int) Spec { return KSCDOrder(k) }},
 
 		// Composites: ordering plus the universal broadcast properties.
-		{Key: "fifo", New: func(int) Spec { return FIFOBroadcast() }, Composite: true, Liveness: true},
-		{Key: "causal", New: func(int) Spec { return CausalBroadcast() }, Composite: true, Liveness: true},
-		{Key: "total-order", New: func(int) Spec { return TotalOrderBroadcast() }, Composite: true, Liveness: true},
-		{Key: "kbo", Parameterized: true, New: func(k int) Spec { return KBOBroadcast(k) }, Composite: true, Liveness: true},
-		{Key: "k-stepped", Parameterized: true, New: func(k int) Spec { return KSteppedBroadcast(k) }, Composite: true, Liveness: true},
-		{Key: "first-k", Parameterized: true, New: func(k int) Spec { return FirstKBroadcast(k) }, Composite: true, Liveness: true},
-		{Key: "sa-tagged", Parameterized: true, New: func(k int) Spec { return SATaggedBroadcast(k) }, Composite: true, Liveness: true},
-		{Key: "mutual", New: func(int) Spec { return MutualBroadcast() }, Composite: true, Liveness: true},
-		{Key: "uniform-reliable", New: func(int) Spec { return UniformReliable() }, Composite: true, Liveness: true},
-		{Key: "scd", New: func(int) Spec { return SCDBroadcast() }, Composite: true, Liveness: true},
-		{Key: "kscd", Parameterized: true, New: func(k int) Spec { return KSCDBroadcast(k) }, Composite: true, Liveness: true},
+		{Key: "fifo", New: func(int) Spec { return FIFOBroadcast() }, Liveness: true},
+		{Key: "causal", New: func(int) Spec { return CausalBroadcast() }, Liveness: true},
+		{Key: "total-order", New: func(int) Spec { return TotalOrderBroadcast() }, Liveness: true},
+		{Key: "kbo", Parameterized: true, New: func(k int) Spec { return KBOBroadcast(k) }, Liveness: true},
+		{Key: "k-stepped", Parameterized: true, New: func(k int) Spec { return KSteppedBroadcast(k) }, Liveness: true},
+		{Key: "first-k", Parameterized: true, New: func(k int) Spec { return FirstKBroadcast(k) }, Liveness: true},
+		{Key: "sa-tagged", Parameterized: true, New: func(k int) Spec { return SATaggedBroadcast(k) }, Liveness: true},
+		{Key: "mutual", New: func(int) Spec { return MutualBroadcast() }, Liveness: true},
+		{Key: "uniform-reliable", New: func(int) Spec { return UniformReliable() }, Liveness: true},
+		{Key: "scd", New: func(int) Spec { return SCDBroadcast() }, Liveness: true},
+		{Key: "kscd", Parameterized: true, New: func(k int) Spec { return KSCDBroadcast(k) }, Liveness: true},
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	return entries
@@ -76,12 +73,12 @@ func ByName(name string, k int) (Spec, error) {
 	for _, e := range Registry() {
 		if e.Key == name {
 			if e.Parameterized && k < 1 {
-				return nil, fmt.Errorf("spec %q requires k >= 1, got %d", name, k)
+				return Spec{}, fmt.Errorf("spec %q requires k >= 1, got %d", name, k)
 			}
 			return e.New(k), nil
 		}
 	}
-	return nil, fmt.Errorf("unknown spec %q", name)
+	return Spec{}, fmt.Errorf("unknown spec %q", name)
 }
 
 // Names returns every registry key, sorted.

@@ -1,13 +1,6 @@
 package spec
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"nobroadcast/internal/model"
-	"nobroadcast/internal/trace"
-)
+import "fmt"
 
 // This file implements the set-delivery generalization the paper's Section
 // 3.1 remark sets aside for readability: Set-Constrained Delivery
@@ -24,39 +17,11 @@ import (
 // are unordered, which is exactly the slack that makes SCD implementable
 // from read/write registers [16] where Total Order is not.
 
-// batchIndex maps, per process, each delivered message to the ordinal of
-// the delivered set containing it. Consecutive deliveries sharing a
-// positive Batch share an ordinal; Batch-0 deliveries are singleton sets.
-func batchIndex(t *trace.Trace) map[model.ProcID]map[model.MsgID]int {
-	out := make(map[model.ProcID]map[model.MsgID]int)
-	cur := make(map[model.ProcID]int64) // current batch tag per process
-	ord := make(map[model.ProcID]int)   // current set ordinal per process
-	for _, s := range t.X.Steps {
-		if s.Kind != model.KindDeliver {
-			continue
-		}
-		m := out[s.Proc]
-		if m == nil {
-			m = make(map[model.MsgID]int)
-			out[s.Proc] = m
-		}
-		if s.Batch == 0 || s.Batch != cur[s.Proc] {
-			ord[s.Proc]++
-			cur[s.Proc] = s.Batch
-		}
-		if _, dup := m[s.Msg]; !dup {
-			m[s.Msg] = ord[s.Proc]
-		}
-	}
-	return out
-}
-
 // SCDOrder checks the set-constrained delivery ordering property. It is
 // prefix-safe: a strict opposite ordering of two delivered sets cannot be
 // undone by any extension.
 func SCDOrder() Spec {
-	return streamSpec{name: "SCD-Order", batch: checkSCD,
-		mk: func(n int) Checker { return newSCDChecker(n) }}
+	return leafSpec("SCD-Order", func(n int) leafChecker { return newSCDChecker(n) })
 }
 
 // SCDBroadcast composes the SCD order with the universal properties.
@@ -72,111 +37,12 @@ func SCDBroadcast() Spec {
 // SCDOrder is the k = 1 case.
 func KSCDOrder(k int) Spec {
 	name := fmt.Sprintf("%d-SCD-Order", k)
-	return streamSpec{
-		name:  name,
-		batch: func(t *trace.Trace) *Violation { return checkKSCD(t, k) },
-		mk: func(n int) Checker {
-			return newCliqueChecker(n, k, true, name, "k-Set-Constrained-Delivery", kscdCliqueDetail, DefaultCliqueBudget)
-		},
-	}
+	return leafSpec(name, func(n int) leafChecker {
+		return newCliqueChecker(n, k, true, name, "k-Set-Constrained-Delivery", kscdCliqueDetail, DefaultCliqueBudget)
+	})
 }
 
 // KSCDBroadcast composes the k-SCD order with the universal properties.
 func KSCDBroadcast(k int) Spec {
 	return All(fmt.Sprintf("%d-SCD-Broadcast", k), BasicBroadcast(), KSCDOrder(k))
-}
-
-func checkKSCD(t *trace.Trace, k int) *Violation {
-	name := fmt.Sprintf("%d-SCD-Order", k)
-	ix := t.Index()
-	batches := batchIndex(t)
-	msgs := ix.MessagesSorted()
-	adj := make(map[model.MsgID]map[model.MsgID]bool)
-	link := func(a, b model.MsgID) {
-		if adj[a] == nil {
-			adj[a] = make(map[model.MsgID]bool)
-		}
-		if adj[b] == nil {
-			adj[b] = make(map[model.MsgID]bool)
-		}
-		adj[a][b] = true
-		adj[b][a] = true
-	}
-	for i := 0; i < len(msgs); i++ {
-		for j := i + 1; j < len(msgs); j++ {
-			a, b := msgs[i], msgs[j]
-			var before, after bool
-			for pn := 1; pn <= t.X.N; pn++ {
-				p := model.ProcID(pn)
-				ba, oka := batches[p][a]
-				bb, okb := batches[p][b]
-				if !oka || !okb {
-					continue
-				}
-				switch {
-				case ba < bb:
-					before = true
-				case bb < ba:
-					after = true
-				}
-			}
-			if before && after {
-				link(a, b)
-			}
-		}
-	}
-	if len(adj) == 0 {
-		return nil
-	}
-	nodes := make([]model.MsgID, 0, len(adj))
-	for m := range adj {
-		nodes = append(nodes, m)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	budget := DefaultCliqueBudget
-	clique, exceeded := findCliqueBudget(nodes, adj, k+1, &budget)
-	if exceeded {
-		return cliqueBudgetViolation(name, -1)
-	}
-	if clique != nil {
-		parts := make([]string, len(clique))
-		for i, m := range clique {
-			parts[i] = fmt.Sprintf("m%d", m)
-		}
-		return &Violation{Spec: name, Property: "k-Set-Constrained-Delivery",
-			Detail: fmt.Sprintf("messages {%s} %s", strings.Join(parts, ","), fmt.Sprintf(kscdCliqueDetail, k+1)), StepIdx: -1}
-	}
-	return nil
-}
-
-func checkSCD(t *trace.Trace) *Violation {
-	ix := t.Index()
-	batches := batchIndex(t)
-	msgs := ix.MessagesSorted()
-	for i := 0; i < len(msgs); i++ {
-		for j := i + 1; j < len(msgs); j++ {
-			a, b := msgs[i], msgs[j]
-			var before, after model.ProcID
-			for pn := 1; pn <= t.X.N; pn++ {
-				p := model.ProcID(pn)
-				ba, oka := batches[p][a]
-				bb, okb := batches[p][b]
-				if !oka || !okb {
-					continue
-				}
-				switch {
-				case ba < bb:
-					before = p
-				case bb < ba:
-					after = p
-				}
-				// ba == bb: same set, unordered — constrains nobody.
-			}
-			if before != model.NoProc && after != model.NoProc {
-				return &Violation{Spec: "SCD-Order", Property: "Set-Constrained-Delivery",
-					Detail: fmt.Sprintf("%v delivers m%d in a strictly earlier set than m%d, while %v delivers m%d strictly earlier than m%d", before, a, b, after, b, a), StepIdx: -1}
-			}
-		}
-	}
-	return nil
 }

@@ -19,7 +19,6 @@ package spec
 import (
 	"fmt"
 
-	"nobroadcast/internal/model"
 	"nobroadcast/internal/trace"
 )
 
@@ -49,34 +48,52 @@ func (v *Violation) String() string {
 	return fmt.Sprintf("%s: %s violated%s: %s", v.Spec, v.Property, where, v.Detail)
 }
 
-// Spec is a specification: a predicate on executions. Check returns nil if
-// the trace is admitted, else a description of the violation.
-type Spec interface {
-	Name() string
-	Check(t *trace.Trace) *Violation
+// Spec is a specification: a predicate on executions, given as a name and
+// the ordered list of leaf properties it conjoins. Section 3.1 builds every
+// broadcast abstraction this way: the Basic-Broadcast leaf (the four
+// universal properties) plus one ordering leaf.
+type Spec struct {
+	name   string
+	leaves []leaf
 }
 
-// Func adapts a function to the Spec interface.
-type Func struct {
-	SpecName string
-	CheckFn  func(t *trace.Trace) *Violation
+// Name returns the specification's name.
+func (s Spec) Name() string { return s.name }
+
+// Check returns nil if the trace is admitted, else a description of the
+// violation. Every leaf is checked over the whole trace and the first
+// violated leaf in declaration order is blamed; /v1/run, conformance,
+// cmd/checker and the adversary's lemma checks report this rule. The
+// online checker of NewCheckerFor blames the leaf violated earliest
+// instead: the two rules can blame different leaves of a composite, never
+// differ on admissibility.
+func (s Spec) Check(t *trace.Trace) *Violation {
+	m := NewMonitor(t.X.N, s)
+	for i := range t.X.Steps {
+		m.feed(&t.X.Steps[i])
+	}
+	m.Finish(t.Complete)
+	for _, j := range m.specs[0].leaves {
+		if v := m.leaves[j].v; v != nil {
+			return v
+		}
+	}
+	return nil
 }
 
-var _ Spec = Func{}
-
-// Name implements Spec.
-func (f Func) Name() string { return f.SpecName }
-
-// Check implements Spec.
-func (f Func) Check(t *trace.Trace) *Violation { return f.CheckFn(t) }
+// leafSpec is the one-leaf spec named after its leaf.
+func leafSpec(key string, mk func(n int) leafChecker) Spec {
+	return Spec{name: key, leaves: []leaf{{key: key, mk: mk}}}
+}
 
 // All combines specifications; the composite admits a trace iff every
-// component does. Check returns the first violation found, in declaration
-// order; the composite's online checker (see allSpec) reports the first
-// violation in time order instead — the two can differ in blame, never in
-// admissibility.
+// component does. Its leaves are the components' leaves, in order.
 func All(name string, specs ...Spec) Spec {
-	return allSpec{name: name, specs: specs}
+	var leaves []leaf
+	for _, s := range specs {
+		leaves = append(leaves, s.leaves...)
+	}
+	return Spec{name: name, leaves: leaves}
 }
 
 // WellFormed checks the machine-checkable parts of Definition 1
@@ -87,45 +104,5 @@ func All(name string, specs ...Spec) Spec {
 // of the steps to the algorithm — is enforced by construction by the
 // deterministic runtime and is not re-derivable from a trace alone.
 func WellFormed() Spec {
-	return streamSpec{name: "Well-Formed", batch: checkWellFormed,
-		mk: func(n int) Checker { return newWellFormedChecker(n) }}
-}
-
-func checkWellFormed(t *trace.Trace) *Violation {
-	x := t.X
-	crashed := make(map[model.ProcID]bool)
-	inFlight := make(map[model.ProcID]model.MsgID) // proc -> msg of open broadcast invocation
-	open := make(map[model.ProcID]bool)
-	for i, s := range x.Steps {
-		if s.Proc < 1 || int(s.Proc) > x.N {
-			return &Violation{Spec: "Well-Formed", Property: "Participants",
-				Detail: fmt.Sprintf("step by %v outside p1..p%d", s.Proc, x.N), StepIdx: i}
-		}
-		if crashed[s.Proc] {
-			return &Violation{Spec: "Well-Formed", Property: "Crash-Finality",
-				Detail: fmt.Sprintf("%v takes a step after crashing", s.Proc), StepIdx: i}
-		}
-		switch s.Kind {
-		case model.KindCrash:
-			crashed[s.Proc] = true
-		case model.KindBroadcastInvoke:
-			if open[s.Proc] {
-				return &Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
-					Detail: fmt.Sprintf("%v invokes B.broadcast(m%d) before returning from B.broadcast(m%d)", s.Proc, s.Msg, inFlight[s.Proc]), StepIdx: i}
-			}
-			open[s.Proc] = true
-			inFlight[s.Proc] = s.Msg
-		case model.KindBroadcastReturn:
-			if !open[s.Proc] {
-				return &Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
-					Detail: fmt.Sprintf("%v returns from B.broadcast(m%d) without an open invocation", s.Proc, s.Msg), StepIdx: i}
-			}
-			if inFlight[s.Proc] != s.Msg {
-				return &Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
-					Detail: fmt.Sprintf("%v returns from B.broadcast(m%d), but the open invocation is m%d", s.Proc, s.Msg, inFlight[s.Proc]), StepIdx: i}
-			}
-			open[s.Proc] = false
-		}
-	}
-	return nil
+	return leafSpec("Well-Formed", func(n int) leafChecker { return newWellFormedChecker(n) })
 }

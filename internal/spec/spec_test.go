@@ -78,24 +78,28 @@ func TestViolationString(t *testing.T) {
 	}
 }
 
+// TestAllCombinesInOrder pins the two blame rules of a composite on a
+// trace that violates FIFO at step 4 and BC-No-Duplication at step 6.
+// Check blames the first violated leaf in declaration order, so
+// Basic-Broadcast; the online checker blames the leaf violated first, so
+// FIFO.
 func TestAllCombinesInOrder(t *testing.T) {
-	hit := []string{}
-	mk := func(name string, v *Violation) Spec {
-		return Func{SpecName: name, CheckFn: func(*trace.Trace) *Violation {
-			hit = append(hit, name)
-			return v
-		}}
-	}
-	s := All("combo", mk("a", nil), mk("b", &Violation{Spec: "b", Property: "X"}), mk("c", nil))
+	b := newTB(2)
+	m1 := b.bcast(1, "a")
+	m2 := b.bcast(1, "b")
+	b.deliver(2, m2)
+	b.deliver(2, m1)
+	b.deliver(2, m1)
+	tr := b.trace(false)
+	s := All("combo", WellFormed(), BasicBroadcast(), FIFOOrder())
 	if s.Name() != "combo" {
 		t.Errorf("Name = %q", s.Name())
 	}
-	v := s.Check(newTB(1).trace(false))
-	if v == nil || v.Spec != "b" {
-		t.Errorf("Check = %v", v)
+	if v := s.Check(tr); v == nil || v.Property != "BC-No-Duplication" || v.StepIdx != 6 {
+		t.Errorf("Check = %v, want BC-No-Duplication at step 6", v)
 	}
-	if len(hit) != 2 {
-		t.Errorf("short-circuit failed, hit %v", hit)
+	if v := RunChecker(NewCheckerFor(s, tr.X.N), tr); v == nil || v.Property != "FIFO" || v.StepIdx != 4 {
+		t.Errorf("online checker = %v, want FIFO at step 4", v)
 	}
 }
 

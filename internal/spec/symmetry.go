@@ -2,7 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 
 	"nobroadcast/internal/model"
 	"nobroadcast/internal/rng"
@@ -147,15 +146,6 @@ func CheckCompositional(s Spec, t *trace.Trace, opts SymmetryOptions) (*Composit
 		}
 	}
 	return rep, nil
-}
-
-func sortedKeys(set map[model.MsgID]bool) []model.MsgID {
-	out := make([]model.MsgID, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ContentNeutralityReport is the outcome of CheckContentNeutral.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nobroadcast/internal/model"
-	"nobroadcast/internal/trace"
 )
 
 // --- Experiment E4: k-Stepped Broadcast is NOT compositional (§3.2) ---
@@ -235,14 +234,7 @@ func TestCheckContentNeutralExtraRenamings(t *testing.T) {
 	tr := b.trace(true)
 	// A spec that rejects a magic payload: trivially not content-neutral,
 	// witnessed only through the extra renaming.
-	magic := Func{SpecName: "no-magic", CheckFn: func(tt *trace.Trace) *Violation {
-		for i, s := range tt.X.Steps {
-			if s.Kind == model.KindBroadcastInvoke && s.Payload == "magic" {
-				return &Violation{Spec: "no-magic", Property: "Magic", Detail: "magic payload", StepIdx: i}
-			}
-		}
-		return nil
-	}}
+	magic := leafSpec("no-magic", func(int) leafChecker { return magicChecker{} })
 	rep, err := CheckContentNeutral(magic, tr, SymmetryOptions{
 		ExtraRenamings: []model.Renaming{{"plain": "magic"}},
 	})
@@ -252,4 +244,15 @@ func TestCheckContentNeutralExtraRenamings(t *testing.T) {
 	if rep.Holds {
 		t.Error("no-magic spec should fail content-neutrality via the extra renaming")
 	}
+}
+
+// magicChecker is a test-local leaf that rejects the broadcast of the
+// payload "magic".
+type magicChecker struct{ safety }
+
+func (magicChecker) feed(i int, s *model.Step) *Violation {
+	if s.Kind == model.KindBroadcastInvoke && s.Payload == "magic" {
+		return &Violation{Spec: "no-magic", Property: "Magic", Detail: "magic payload", StepIdx: i}
+	}
+	return nil
 }
