@@ -122,15 +122,16 @@ profile-feed:
 
 # fuzz-smoke: a short budgeted run of every fuzz target — enough to catch
 # an outright decoder regression on the seed-adjacent frontier without
-# holding CI hostage to a real fuzzing campaign.
+# holding CI hostage to a real fuzzing campaign. Minimizing a new input
+# may take 2 s, not Go's default 60 s, so the budget goes to exploring.
 fuzz-smoke:
-	go test -run '^$$' -fuzz 'FuzzStepReader$$' -fuzztime 15s ./internal/trace
-	go test -run '^$$' -fuzz 'FuzzFrame$$' -fuzztime 15s ./internal/nettcp
-	go test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 10s ./internal/broadcast
-	go test -run '^$$' -fuzz 'FuzzDecodeRecs$$' -fuzztime 10s ./internal/broadcast
-	go test -run '^$$' -fuzz 'FuzzAutomataOnGarbage$$' -fuzztime 10s ./internal/broadcast
-	go test -run '^$$' -fuzz 'FuzzConflictStream$$' -fuzztime 10s ./internal/spec
-	go test -run '^$$' -fuzz 'FuzzSpecMonitor$$' -fuzztime 10s ./internal/spec
+	go test -run '^$$' -fuzz 'FuzzStepReader$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/trace
+	go test -run '^$$' -fuzz 'FuzzFrame$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/nettcp
+	go test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/broadcast
+	go test -run '^$$' -fuzz 'FuzzDecodeRecs$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/broadcast
+	go test -run '^$$' -fuzz 'FuzzAutomataOnGarbage$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/broadcast
+	go test -run '^$$' -fuzz 'FuzzConflictStream$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/spec
+	go test -run '^$$' -fuzz 'FuzzSpecMonitor$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/spec
 
 outputs:
 	go test ./... 2>&1 | tee test_output.txt

@@ -1,7 +1,9 @@
 package adversary
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nobroadcast/internal/model"
 	"nobroadcast/internal/spec"
@@ -124,20 +126,18 @@ func (r *Result) Verify() (reports []LemmaReport, ok bool) {
 	for i := 1; i <= r.K+1; i++ {
 		gammas = append(gammas, r.Gamma(model.ProcID(i)))
 	}
-	// alphaVerdict prefers the verdict the live checkers latched while
-	// Algorithm 1 ran (Result.Live) over rescanning α; runs constructed
-	// without a live monitor (old serialized results) fall back to the
-	// batch check.
-	alphaVerdict := func(s spec.Spec) *spec.Violation {
+	// α's verdicts are the ones the live checkers latched while Algorithm
+	// 1 ran (Result.Live); a spec Run did not monitor fails its lemma.
+	alphaErr := func(s spec.Spec) error {
 		if r.Live != nil {
 			if v, ok := r.Live.Verdict(s.Name()); ok {
-				return v
+				return violationErr(v)
 			}
 		}
-		return s.Check(r.Alpha)
+		return fmt.Errorf("%s was not monitored while alpha ran", s.Name())
 	}
 	onAll := func(lemma string, s spec.Spec) {
-		if err := violationErr(alphaVerdict(s)); err != nil {
+		if err := alphaErr(s); err != nil {
 			add(lemma+" (alpha)", err)
 			return
 		}
@@ -184,7 +184,8 @@ func (r *Result) Verify() (reports []LemmaReport, ok bool) {
 }
 
 // checkEveryProposeDecides verifies that each propose step is eventually
-// followed by a decide by the same process on the same object.
+// followed by a decide by the same process on the same object. Of several
+// open proposals it names the lowest process, then the lowest object.
 func checkEveryProposeDecides(t *trace.Trace) error {
 	type key struct {
 		p   model.ProcID
@@ -199,10 +200,15 @@ func checkEveryProposeDecides(t *trace.Trace) error {
 			delete(open, key{s.Proc, s.Obj})
 		}
 	}
-	for k := range open {
-		return fmt.Errorf("%v proposed on %v but never decides", k.p, k.obj)
+	if len(open) == 0 {
+		return nil
 	}
-	return nil
+	keys := make([]key, 0, len(open))
+	for k := range open {
+		keys = append(keys, k)
+	}
+	low := slices.MinFunc(keys, func(a, b key) int { return cmp.Or(cmp.Compare(a.p, b.p), cmp.Compare(a.obj, b.obj)) })
+	return fmt.Errorf("%v proposed on %v but never decides", low.p, low.obj)
 }
 
 // checkAllSendsReceived verifies SR-Termination positionally: every send

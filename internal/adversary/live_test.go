@@ -1,6 +1,7 @@
 package adversary_test
 
 import (
+	"strings"
 	"testing"
 
 	"nobroadcast/internal/spec"
@@ -30,5 +31,29 @@ func TestLiveMonitorAgreesWithBatch(t *testing.T) {
 	}
 	if reports, ok := res.Verify(); !ok {
 		t.Fatalf("Verify failed with live verdicts: %+v", reports)
+	}
+}
+
+// TestVerifyWithoutLiveMonitorFails: α's Lemma 1-6 verdicts come only from
+// the live monitor, so a Result whose monitor is missing fails those
+// lemmas instead of passing them unchecked.
+func TestVerifyWithoutLiveMonitorFails(t *testing.T) {
+	res := mustRun(t, "first-k", 2, 1)
+	res.Live = nil
+	reports, ok := res.Verify()
+	if ok {
+		t.Fatal("Verify passed without a live monitor")
+	}
+	failed := 0
+	for _, rep := range reports {
+		if !rep.OK {
+			failed++
+			if !strings.Contains(rep.Err, "not monitored") {
+				t.Errorf("%s: %s", rep.Lemma, rep.Err)
+			}
+		}
+	}
+	if failed != 3 {
+		t.Errorf("%d lemmas failed, want the 3 checked on alpha: %+v", failed, reports)
 	}
 }

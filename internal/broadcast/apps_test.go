@@ -269,7 +269,7 @@ func TestOnDecideIgnoredByOracleFreeAutomata(t *testing.T) {
 		env := sched.NewEnv(1, 3)
 		a.Init(env)
 		a.OnDecide(env, 99, "stray")
-		if got := len(env.TakeActions()); got != 0 {
+		if got := len(env.TakeActions(nil)); got != 0 {
 			t.Errorf("%s: stray decide emitted %d actions", name, got)
 		}
 	}
@@ -308,7 +308,7 @@ func TestMalformedDecidedValuesIgnored(t *testing.T) {
 		env := sched.NewEnv(1, 2)
 		a.Init(env)
 		a.OnDecide(env, 1, "not-json")
-		for _, act := range env.TakeActions() {
+		for _, act := range env.TakeActions(nil) {
 			if act.Kind == model.KindDeliver {
 				t.Errorf("%s delivered from a malformed decision", name)
 			}

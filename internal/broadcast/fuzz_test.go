@@ -184,9 +184,9 @@ func FuzzAutomataOnGarbage(f *testing.F) {
 			a := c.NewAutomaton(1)
 			env := sched.NewEnv(1, 3)
 			a.Init(env)
-			env.TakeActions()
+			env.TakeActions(nil)
 			a.OnReceive(env, 2, model.Payload(s))
-			env.TakeActions() // must not panic
+			env.TakeActions(nil) // must not panic
 		}
 	})
 }

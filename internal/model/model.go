@@ -214,16 +214,9 @@ func (x *Execution) Clone() *Execution {
 }
 
 // Correct reports whether process p is correct (non-faulty) in the
-// execution, i.e. takes no crash step. Per Section 2, a process that
-// crashes in a run is faulty; all others are correct.
-func (x *Execution) Correct(p ProcID) bool {
-	for _, s := range x.Steps {
-		if s.Kind == KindCrash && s.Proc == p {
-			return false
-		}
-	}
-	return true
-}
+// execution: one of p_1..p_N that takes no crash step. Per Section 2, a
+// process that crashes in a run is faulty; all others are correct.
+func (x *Execution) Correct(p ProcID) bool { return x.CorrectSet()[p] }
 
 // CorrectSet returns the set of correct processes.
 func (x *Execution) CorrectSet() map[ProcID]bool {

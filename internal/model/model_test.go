@@ -104,6 +104,12 @@ func TestCorrect(t *testing.T) {
 	if !cs[1] || cs[2] || !cs[3] {
 		t.Errorf("CorrectSet = %v", cs)
 	}
+	// As in CorrectSet, an id outside p1..pN is no correct process.
+	for _, p := range []ProcID{0, ProcID(x.N + 1), 15} {
+		if x.Correct(p) || cs[p] {
+			t.Errorf("%v is outside p1..p%d but counts as correct", p, x.N)
+		}
+	}
 }
 
 func TestMessagesAndOrders(t *testing.T) {

@@ -74,6 +74,12 @@ type proc struct {
 	// seq[q-1] is the next send ordinal toward q and lastSeq[q-1] the
 	// highest ordinal received from q; only the event loop touches them.
 	seq, lastSeq []int64
+	// env and cascade serve every handler call of the process for its
+	// lifetime: only its event loop runs handlers (Start runs Init there
+	// too), and handlers never nest, because the cascade drains OnDecide's
+	// actions after the call returns.
+	env     *sched.Env
+	cascade []sched.Action
 }
 
 // event is one inbox entry: a point-to-point reception or a B.broadcast
@@ -105,6 +111,7 @@ func NewCore(n int, ids []model.ProcID, newAutomaton func(model.ProcID) sched.Au
 			inbox:     make(chan event, inboxSize),
 			seq:       make([]int64, n),
 			lastSeq:   make([]int64, n),
+			env:       sched.NewEnv(id, n),
 		}
 	}
 	return c
@@ -152,40 +159,39 @@ func (c *Core) loop(ps *proc) {
 }
 
 // handle runs a handler and applies the emitted actions, including the
-// cascading effects of k-SA decisions.
+// cascading effects of k-SA decisions. It allocates nothing of its own:
+// the actions go through the process's one Env and cascade buffer.
 func (c *Core) handle(ps *proc, call func(env *sched.Env)) {
 	var began time.Time
 	if c.met.handleUS != nil {
 		began = time.Now()
 	}
-	env := sched.NewEnv(ps.id, c.n)
-	call(env)
-	queue := env.TakeActions()
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
+	call(ps.env)
+	queue := ps.env.TakeActions(ps.cascade[:0])
+	for i := 0; i < len(queue); i++ {
+		a := queue[i]
 		switch a.Kind {
 		case model.KindSend:
-			c.send(ps, a.To, a.Payload)
+			c.send(ps, a.Peer, a.Payload)
 		case model.KindPropose:
-			c.tr.Record(model.Step{Proc: ps.id, Kind: model.KindPropose, Obj: a.Obj, Val: a.Val})
+			c.tr.Record(a.Step(ps.id))
 			val, ok := c.tr.Propose(ps.id, a.Obj, a.Val)
 			if !ok {
 				return // stopping; the decision never arrives
 			}
 			c.tr.Record(model.Step{Proc: ps.id, Kind: model.KindDecide, Obj: a.Obj, Val: val})
-			ps.automaton.OnDecide(env, a.Obj, val)
-			queue = append(queue, env.TakeActions()...)
+			ps.automaton.OnDecide(ps.env, a.Obj, val)
+			queue = ps.env.TakeActions(queue)
 		case model.KindDeliver:
 			ps.delivered.Add(1)
 			c.met.delivered.Inc()
-			c.tr.Record(model.Step{Proc: ps.id, Kind: model.KindDeliver, Peer: a.Origin, Msg: a.Msg, Payload: a.Payload})
+			c.tr.Record(a.Step(ps.id))
 			if c.tr.Deliver != nil {
-				c.tr.Deliver(Delivery{At: ps.id, From: a.Origin, Msg: a.Msg, Payload: a.Payload})
+				c.tr.Deliver(Delivery{At: ps.id, From: a.Peer, Msg: a.Msg, Payload: a.Payload})
 			}
 		case model.KindBroadcastReturn:
 			ps.returned.Add(1)
-			c.tr.Record(model.Step{Proc: ps.id, Kind: model.KindBroadcastReturn, Msg: a.Msg})
+			c.tr.Record(a.Step(ps.id))
 			if c.tr.Return != nil {
 				c.tr.Return(ps.id)
 			}
@@ -193,6 +199,7 @@ func (c *Core) handle(ps *proc, call func(env *sched.Env)) {
 			// No effect outside the automaton.
 		}
 	}
+	ps.cascade = queue
 	if c.met.handleUS != nil {
 		c.met.handleUS.Observe(time.Since(began).Microseconds())
 	}

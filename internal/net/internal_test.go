@@ -8,6 +8,7 @@ import (
 	"nobroadcast/internal/broadcast"
 	"nobroadcast/internal/model"
 	"nobroadcast/internal/rng"
+	"nobroadcast/internal/sched"
 )
 
 // TestUniformLargeMax is the regression test for the delay-draw overflow:
@@ -111,5 +112,41 @@ func TestReceiveRejectsUnknownEndpoints(t *testing.T) {
 	c.Receive(1, 2, 0, "x")
 	if !Await(context.Background(), func() bool { return eg.Stats().Received == 1 }, 5*time.Second) {
 		t.Fatalf("a valid reception was not handled: %+v", eg.Stats())
+	}
+}
+
+// deliverStub B-delivers and returns each broadcast at once, sending
+// nothing.
+type deliverStub struct{}
+
+func (deliverStub) Init(*sched.Env) {}
+func (deliverStub) OnBroadcast(env *sched.Env, msg model.MsgID, payload model.Payload) {
+	env.Deliver(msg, env.ID(), payload)
+	env.ReturnBroadcast(msg)
+}
+func (deliverStub) OnReceive(*sched.Env, model.ProcID, model.Payload) {}
+func (deliverStub) OnDecide(*sched.Env, model.KSAID, model.Value)     {}
+
+// TestHandleAllocatesNothing: every handler call of a process runs on the
+// process's one Env and cascade buffer, so once both have grown, handling
+// a broadcast that delivers and returns allocates nothing.
+func TestHandleAllocatesNothing(t *testing.T) {
+	eg, err := NewEgress(nil, 1, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCore(1, []model.ProcID{1}, func(model.ProcID) sched.Automaton { return deliverStub{} }, 1, eg, Transport{
+		Record: func(model.Step) {},
+	})
+	ps := c.procs[0]
+	call := func(env *sched.Env) { ps.automaton.OnBroadcast(env, 1, "x") }
+	if got := testing.AllocsPerRun(100, func() { c.handle(ps, call) }); got != 0 {
+		t.Errorf("handle allocates %v times per call, want 0", got)
+	}
+	if got, want := ps.delivered.Load(), int64(101); got != want {
+		t.Errorf("delivered %d, want %d (one warm-up call and 100 measured)", got, want)
+	}
+	if got := ps.returned.Load(); got != 101 {
+		t.Errorf("returned %d, want 101", got)
 	}
 }

@@ -1,7 +1,6 @@
 package net_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"nobroadcast/internal/model"
 	"nobroadcast/internal/net"
 	"nobroadcast/internal/spec"
-	"nobroadcast/internal/trace"
 )
 
 // TestLiveStreamingWithoutTrace: live specs without RecordTrace check the
@@ -131,70 +129,5 @@ func TestLiveAgreesWithRecordedTrace(t *testing.T) {
 	}
 	if (batch == nil) != (live == nil) {
 		t.Fatalf("live and batch verdicts diverge: live=%v batch=%v", live, batch)
-	}
-}
-
-// TestSinkStreamingTee: a Sink alone (no RecordTrace, no LiveSpecs)
-// enables the recorder in streaming mode: no step log is retained, yet
-// the sink observes every recorded step under the recorder's
-// linearization — here streamed straight into wire format v1.
-func TestSinkStreamingTee(t *testing.T) {
-	const n, perNode = 3, 4
-	c, err := broadcast.Lookup("reliable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	bw, err := trace.NewBinaryWriter(&buf, trace.StreamHeader{N: n, Steps: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := net.New(net.Config{
-		N:            n,
-		NewAutomaton: c.NewAutomaton,
-		K:            c.OracleDegree(1),
-		Seed:         11,
-		Sink:         bw,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Stop()
-	for p := 1; p <= n; p++ {
-		for j := 0; j < perNode; j++ {
-			if _, err := nw.Broadcast(model.ProcID(p), model.Payload(fmt.Sprintf("m-%d-%d", p, j))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	want := int64(n * perNode)
-	done := nw.WaitUntil(func() bool {
-		for p := 1; p <= n; p++ {
-			if nw.Delivered(model.ProcID(p)) < want {
-				return false
-			}
-		}
-		return true
-	}, waitTimeout)
-	if !done {
-		t.Fatal("deliveries incomplete")
-	}
-	nw.Stop()
-
-	if tr := nw.Trace(); tr != nil {
-		t.Fatalf("sink-only mode must not keep a step log, got %d steps", tr.X.Len())
-	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.DecodeBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.X.Len() != nw.LiveSteps() {
-		t.Fatalf("sink stream has %d steps, recorder observed %d", got.X.Len(), nw.LiveSteps())
-	}
-	if got.X.Len() == 0 {
-		t.Fatal("sink observed no steps")
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"nobroadcast/internal/rng"
 	"nobroadcast/internal/sched"
 	"nobroadcast/internal/spec"
-	"nobroadcast/internal/trace"
 )
 
 // Delivery is one B-delivery observed at a node.
@@ -91,13 +90,6 @@ type Config struct {
 	// memory and no step log is kept (streaming mode). Verdicts are read
 	// via LiveViolation and FinishLive.
 	LiveSpecs []spec.Spec
-	// Sink, when non-nil, receives every recorded step under the recorder
-	// mutex, in the same linearization the step log and live checkers see
-	// — a live tee for streaming consumers such as a trace.BinaryWriter.
-	// The sink itself need not be safe for concurrent use: the mutex
-	// serializes calls. Works with or without RecordTrace (a sink alone
-	// enables the recorder in streaming mode, like LiveSpecs alone).
-	Sink trace.Sink
 	// Obs receives network metrics (send/receive/delivery counters, the
 	// in-flight gauge, delay and handler-latency histograms, fault
 	// counters). Nil keeps the cheap standalone counters behind
@@ -191,8 +183,8 @@ func New(cfg Config) (*Network, error) {
 		egress: eg,
 		oracle: &safeOracle{inner: sched.NewFreeOracle(cfg.K)},
 	}
-	if cfg.RecordTrace || len(cfg.LiveSpecs) > 0 || cfg.Sink != nil {
-		nw.rec = newRecorder(cfg.N, cfg.RecordTrace, cfg.LiveSpecs, cfg.Sink)
+	if cfg.RecordTrace || len(cfg.LiveSpecs) > 0 {
+		nw.rec = newRecorder(cfg.N, cfg.RecordTrace, cfg.LiveSpecs)
 	}
 	ids := make([]model.ProcID, cfg.N)
 	for i := range ids {

@@ -31,18 +31,14 @@ type recorder struct {
 	// append under the mutex, and chunked growth keeps the critical
 	// section free of realloc-and-copy pauses on long runs. keep is false
 	// in streaming-only mode (no step log retained).
-	buf     model.StepBuffer
-	keep    bool
-	n       int
-	mon     *spec.Monitor // nil without live specs
-	sink    trace.Sink    // nil without a streaming tee
-	steps   int
-	liveV   *spec.Violation
-	liveIdx int
+	buf  model.StepBuffer
+	keep bool
+	n    int
+	mon  *spec.Monitor // nil without live specs; latches the first violation
 }
 
-func newRecorder(n int, keep bool, specs []spec.Spec, sink trace.Sink) *recorder {
-	r := &recorder{liveIdx: -1, keep: keep, n: n, sink: sink}
+func newRecorder(n int, keep bool, specs []spec.Spec) *recorder {
+	r := &recorder{keep: keep, n: n}
 	if len(specs) > 0 {
 		r.mon = spec.NewMonitor(n, specs...)
 	}
@@ -56,19 +52,11 @@ func (r *recorder) record(s model.Step) {
 		return
 	}
 	r.mu.Lock()
-	idx := r.steps
-	r.steps++
 	if r.keep {
 		r.buf.Append(s)
 	}
 	if r.mon != nil {
-		if v := r.mon.Feed(s); v != nil && r.liveV == nil {
-			r.liveV = v
-			r.liveIdx = idx
-		}
-	}
-	if r.sink != nil {
-		r.sink.Step(s)
+		r.mon.Feed(s)
 	}
 	r.mu.Unlock()
 }
@@ -88,14 +76,15 @@ func (nw *Network) Trace() *trace.Trace {
 
 // LiveViolation returns the first violation latched by the live checkers
 // and the index of the step (in recorder order) that caused it; nil, -1
-// when none, or when no live specs are configured.
+// when none, or when no live specs are configured. A violation latched by
+// FinishLive has index -1.
 func (nw *Network) LiveViolation() (*spec.Violation, int) {
-	if nw.rec == nil {
+	if nw.rec == nil || nw.rec.mon == nil {
 		return nil, -1
 	}
 	nw.rec.mu.Lock()
 	defer nw.rec.mu.Unlock()
-	return nw.rec.liveV, nw.rec.liveIdx
+	return nw.rec.mon.Violation()
 }
 
 // FinishLive evaluates the live checkers' end-of-trace (liveness) clauses
@@ -108,20 +97,17 @@ func (nw *Network) FinishLive(complete bool) []spec.SpecVerdict {
 	}
 	nw.rec.mu.Lock()
 	defer nw.rec.mu.Unlock()
-	mon := nw.rec.mon
-	if v := mon.Finish(complete); v != nil && nw.rec.liveV == nil {
-		nw.rec.liveV = v
-	}
-	return mon.Verdicts()
+	nw.rec.mon.Finish(complete)
+	return nw.rec.mon.Verdicts()
 }
 
-// LiveSteps returns how many steps the recorder has observed (whether or
-// not a step log is kept).
+// LiveSteps returns how many steps the live checkers have observed; 0
+// without live specs.
 func (nw *Network) LiveSteps() int {
-	if nw.rec == nil {
+	if nw.rec == nil || nw.rec.mon == nil {
 		return 0
 	}
 	nw.rec.mu.Lock()
 	defer nw.rec.mu.Unlock()
-	return nw.rec.steps
+	return nw.rec.mon.Steps()
 }

@@ -44,7 +44,7 @@ func (r *Runtime) HasPending(p model.ProcID) bool {
 	if err != nil {
 		return false
 	}
-	return !ps.crashed && !ps.blocked && ps.queued() > 0
+	return !ps.crashed && ps.decision == nil && ps.queued() > 0
 }
 
 // Blocked reports whether process p awaits a k-SA decision.
@@ -53,7 +53,7 @@ func (r *Runtime) Blocked(p model.ProcID) bool {
 	if err != nil {
 		return false
 	}
-	return !ps.crashed && ps.blocked
+	return !ps.crashed && ps.decision != nil
 }
 
 // Crashed reports whether process p has crashed.
@@ -84,47 +84,33 @@ func (r *Runtime) ExecNext(p model.ProcID) (step model.Step, ok bool, err error)
 	if err != nil {
 		return model.Step{}, false, err
 	}
-	if ps.crashed || ps.blocked || ps.queued() == 0 {
+	if ps.crashed || ps.decision != nil || ps.queued() == 0 {
 		return model.Step{}, false, nil
 	}
 	r.met.depth(ps.queued())
 	a := ps.pop()
-	switch a.kind {
+	step = a.Step(ps.id)
+	if a.Kind == model.KindSend {
+		step.Msg = r.NewMsgID()
+	}
+	r.record(step)
+	switch a.Kind {
 	case model.KindSend:
-		inst := r.NewMsgID()
-		step = model.Step{Proc: ps.id, Kind: model.KindSend, Peer: a.to, Msg: inst, Payload: a.payload}
-		r.record(step)
-		r.network = append(r.network, inFlight{inst: inst, from: ps.id, to: a.to, payload: a.payload})
+		r.network = append(r.network, inFlight{inst: step.Msg, from: ps.id, to: a.Peer, payload: a.Payload})
 		r.met.network(len(r.network))
 	case model.KindPropose:
-		step = model.Step{Proc: ps.id, Kind: model.KindPropose, Obj: a.obj, Val: a.val}
-		r.record(step)
-		val := r.cfg.Oracle.Propose(a.obj, ps.id, a.val)
-		ps.blocked = true
-		ps.pendingDecide = &struct {
-			obj model.KSAID
-			val model.Value
-		}{obj: a.obj, val: val}
+		ps.decision = &decision{obj: a.Obj, val: r.cfg.Oracle.Propose(a.Obj, ps.id, a.Val)}
 	case model.KindDeliver:
-		step = model.Step{Proc: ps.id, Kind: model.KindDeliver, Peer: a.to, Msg: a.msg, Payload: a.payload}
-		r.record(step)
 		if ps.app != nil {
-			ps.app.OnDeliver(&appEnv{rt: r, ps: ps}, a.to, a.msg, a.payload)
+			ps.app.OnDeliver(&appEnv{rt: r, ps: ps}, a.Peer, a.Msg, a.Payload)
 		}
 	case model.KindBroadcastReturn:
-		step = model.Step{Proc: ps.id, Kind: model.KindBroadcastReturn, Msg: a.msg}
-		r.record(step)
-		if ps.openBroadcast == a.msg {
+		if ps.openBroadcast == a.Msg {
 			ps.openBroadcast = model.NoMsg
 		}
 		if ps.app != nil {
-			ps.app.OnReturn(&appEnv{rt: r, ps: ps}, a.msg)
+			ps.app.OnReturn(&appEnv{rt: r, ps: ps}, a.Msg)
 		}
-	case model.KindInternal:
-		step = model.Step{Proc: ps.id, Kind: model.KindInternal, Note: a.note}
-		r.record(step)
-	default:
-		return model.Step{}, false, fmt.Errorf("sched: unknown queued action kind %v", a.kind)
 	}
 	return step, true, nil
 }
@@ -139,12 +125,11 @@ func (r *Runtime) FireDecide(p model.ProcID) (model.Step, error) {
 	if ps.crashed {
 		return model.Step{}, fmt.Errorf("sched: %v is crashed", p)
 	}
-	if !ps.blocked || ps.pendingDecide == nil {
+	if ps.decision == nil {
 		return model.Step{}, fmt.Errorf("sched: %v has no pending decision", p)
 	}
-	d := *ps.pendingDecide
-	ps.pendingDecide = nil
-	ps.blocked = false
+	d := *ps.decision
+	ps.decision = nil
 	step := model.Step{Proc: ps.id, Kind: model.KindDecide, Obj: d.obj, Val: d.val}
 	r.record(step)
 	r.runAutomaton(ps, func(env *Env) { ps.automaton.OnDecide(env, d.obj, d.val) })
@@ -208,8 +193,7 @@ func (r *Runtime) Crash(p model.ProcID) error {
 	}
 	ps.crashed = true
 	ps.pending, ps.head = nil, 0
-	ps.blocked = false
-	ps.pendingDecide = nil
+	ps.decision = nil
 	r.record(model.Step{Proc: p, Kind: model.KindCrash})
 	r.met.crashed()
 	return nil
@@ -223,7 +207,7 @@ func (r *Runtime) Quiescent() bool {
 		if ps.crashed {
 			continue
 		}
-		if ps.queued() > 0 || ps.blocked {
+		if ps.queued() > 0 || ps.decision != nil {
 			return false
 		}
 	}

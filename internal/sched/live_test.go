@@ -1,13 +1,11 @@
 package sched
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"nobroadcast/internal/model"
 	"nobroadcast/internal/spec"
-	"nobroadcast/internal/trace"
 )
 
 // dupDeliverAutomaton violates BC-No-Duplication: it delivers its own
@@ -106,40 +104,6 @@ func TestLiveCheckingCleanRun(t *testing.T) {
 	for _, sv := range mon.Verdicts() {
 		if sv.Violation != nil {
 			t.Fatalf("%s violated on a clean run: %v", sv.Spec, sv.Violation)
-		}
-	}
-}
-
-// TestSinkTee: a configured Sink receives exactly the steps the runtime
-// records, in order — demonstrated with the real consumer, a
-// trace.BinaryWriter streaming the run into wire format v1 live.
-func TestSinkTee(t *testing.T) {
-	var buf bytes.Buffer
-	bw, err := trace.NewBinaryWriter(&buf, trace.StreamHeader{N: 2, Steps: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(Config{N: 2, NewAutomaton: newEcho, Sink: bw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := r.RunFair(RunOptions{Broadcasts: []BroadcastReq{{Proc: 1, Payload: "a"}, {Proc: 2, Payload: "b"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.DecodeBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.X.Len() != tr.X.Len() {
-		t.Fatalf("sink stream has %d steps, run recorded %d", got.X.Len(), tr.X.Len())
-	}
-	for i := range got.X.Steps {
-		if got.X.Steps[i] != tr.X.Steps[i] {
-			t.Fatalf("sink step %d = %+v, recorded %+v", i, got.X.Steps[i], tr.X.Steps[i])
 		}
 	}
 }

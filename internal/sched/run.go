@@ -66,16 +66,17 @@ func (e *LiveViolationError) Error() string {
 // checker latched, and downstream consumers must not mistake the cut
 // run for a longer (or complete) one.
 func (r *Runtime) liveError() error {
-	if r.liveV == nil {
+	v, idx := r.LiveViolation()
+	if v == nil {
 		return nil
 	}
 	x := r.Execution()
 	steps := x.Steps
-	if n := r.liveIdx + 1; n >= 0 && n <= len(steps) {
+	if n := idx + 1; n >= 0 && n <= len(steps) {
 		steps = steps[:n:n]
 	}
 	trunc := &model.Execution{N: x.N, Steps: steps}
-	return &LiveViolationError{V: r.liveV, StepIdx: r.liveIdx, Trace: &trace.Trace{X: trunc}}
+	return &LiveViolationError{V: v, StepIdx: idx, Trace: &trace.Trace{X: trunc}}
 }
 
 func (o RunOptions) maxEvents() int {
@@ -107,7 +108,7 @@ func (r *Runtime) canInvoke(st *runState, p model.ProcID) bool {
 	if err != nil {
 		return false
 	}
-	return len(st.queues[p]) > 0 && !ps.crashed && !ps.blocked && ps.openBroadcast == model.NoMsg
+	return len(st.queues[p]) > 0 && !ps.crashed && ps.decision == nil && ps.openBroadcast == model.NoMsg
 }
 
 // enabledEvents lists the currently enabled events in a deterministic
@@ -121,9 +122,9 @@ func (r *Runtime) enabledEvents(st *runState) []Event {
 		if ps.crashed {
 			continue
 		}
-		if ps.blocked && ps.pendingDecide != nil {
+		if ps.decision != nil {
 			out = append(out, Event{Kind: EventDecide, Proc: ps.id})
-		} else if !ps.blocked && ps.queued() > 0 {
+		} else if ps.queued() > 0 {
 			out = append(out, Event{Kind: EventExec, Proc: ps.id})
 		}
 		if r.canInvoke(st, ps.id) {

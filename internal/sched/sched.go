@@ -33,7 +33,6 @@ import (
 	"nobroadcast/internal/model"
 	"nobroadcast/internal/obs"
 	"nobroadcast/internal/spec"
-	"nobroadcast/internal/trace"
 )
 
 // Automaton is a deterministic reactive process implementing a broadcast
@@ -124,22 +123,50 @@ func (o *FreeOracle) Propose(obj model.KSAID, proc model.ProcID, v model.Value) 
 	return vals[len(vals)-1]
 }
 
-// action is one queued externally-visible action of an automaton.
-type action struct {
-	kind    model.StepKind
-	to      model.ProcID
-	msg     model.MsgID
-	payload model.Payload
-	obj     model.KSAID
-	val     model.Value
-	note    string
+// Action is one externally visible action an automaton emits. Peer is a
+// send's destination or a delivery's origin, as in model.Step; the other
+// fields are the recorded step's. Both runtimes queue this type: the
+// deterministic runtime executes one per scheduler step, net.Core runs a
+// handler's actions as a cascade.
+type Action struct {
+	Kind    model.StepKind
+	Peer    model.ProcID
+	Msg     model.MsgID
+	Payload model.Payload
+	Obj     model.KSAID
+	Val     model.Value
+	Note    string
+}
+
+// Step is the step process p records when it executes a. A send's
+// instance identity is not part of the action: the executing runtime
+// assigns it.
+func (a *Action) Step(p model.ProcID) model.Step {
+	return model.Step{Proc: p, Kind: a.Kind, Peer: a.Peer, Msg: a.Msg, Payload: a.Payload, Obj: a.Obj, Val: a.Val, Note: a.Note}
 }
 
 // Env collects the actions an automaton emits during a handler call.
 type Env struct {
 	id      model.ProcID
 	n       int
-	emitted []action
+	emitted []Action
+}
+
+// NewEnv returns a standalone action collector for process id of an
+// n-process system, for a runtime that runs automata on Envs of its own:
+// internal/net's node core keeps one per process.
+func NewEnv(id model.ProcID, n int) *Env {
+	return &Env{id: id, n: n}
+}
+
+// TakeActions appends the actions emitted on the Env since the last call
+// to dst, in emission order, and returns the extended slice. The Env
+// keeps its buffer, so a caller that reuses both the Env and dst
+// allocates nothing once they have grown.
+func (e *Env) TakeActions(dst []Action) []Action {
+	dst = append(dst, e.emitted...)
+	e.emitted = e.emitted[:0]
+	return dst
 }
 
 // ID returns the process identity the automaton runs as.
@@ -150,7 +177,7 @@ func (e *Env) N() int { return e.n }
 
 // Send queues a point-to-point send of payload to process to.
 func (e *Env) Send(to model.ProcID, payload model.Payload) {
-	e.emitted = append(e.emitted, action{kind: model.KindSend, to: to, payload: payload})
+	e.emitted = append(e.emitted, Action{Kind: model.KindSend, Peer: to, Payload: payload})
 }
 
 // SendAll queues a send of payload to every process, including the sender
@@ -165,25 +192,25 @@ func (e *Env) SendAll(payload model.Payload) {
 // decision arrives through OnDecide; no action emitted after Propose
 // executes before the decision does.
 func (e *Env) Propose(obj model.KSAID, val model.Value) {
-	e.emitted = append(e.emitted, action{kind: model.KindPropose, obj: obj, val: val})
+	e.emitted = append(e.emitted, Action{Kind: model.KindPropose, Obj: obj, Val: val})
 }
 
 // Deliver queues the B-delivery of broadcast message msg (broadcast by
 // origin, with the given content) to the local upper layer.
 func (e *Env) Deliver(msg model.MsgID, origin model.ProcID, payload model.Payload) {
-	e.emitted = append(e.emitted, action{kind: model.KindDeliver, to: origin, msg: msg, payload: payload})
+	e.emitted = append(e.emitted, Action{Kind: model.KindDeliver, Peer: origin, Msg: msg, Payload: payload})
 }
 
 // ReturnBroadcast queues the response of the B.broadcast invocation that
 // created msg.
 func (e *Env) ReturnBroadcast(msg model.MsgID) {
-	e.emitted = append(e.emitted, action{kind: model.KindBroadcastReturn, msg: msg})
+	e.emitted = append(e.emitted, Action{Kind: model.KindBroadcastReturn, Msg: msg})
 }
 
 // Internal queues an internal computation step, visible in traces for
 // debugging but ignored by all specifications.
 func (e *Env) Internal(note string) {
-	e.emitted = append(e.emitted, action{kind: model.KindInternal, note: note})
+	e.emitted = append(e.emitted, Action{Kind: model.KindInternal, Note: note})
 }
 
 // inFlight is a sent, not yet received, point-to-point message.
@@ -194,6 +221,12 @@ type inFlight struct {
 	payload model.Payload
 }
 
+// decision is the answer of a k-SA proposition awaiting FireDecide.
+type decision struct {
+	obj model.KSAID
+	val model.Value
+}
+
 // procState is the runtime state of one process.
 type procState struct {
 	id        model.ProcID
@@ -202,17 +235,13 @@ type procState struct {
 	// pending[head:] is the action queue. A pop only advances head; push
 	// slides the queue back to the front of a full array, so refills
 	// reuse the backing array.
-	pending []action
+	pending []Action
 	head    int
-	// blocked is set between the execution of a propose action and the
-	// firing of its decision.
-	blocked bool
-	// pendingDecide holds the oracle's answer awaiting FireDecide.
-	pendingDecide *struct {
-		obj model.KSAID
-		val model.Value
-	}
-	crashed bool
+	// decision holds the oracle's answer to the process's open k-SA
+	// proposition, from the execution of the propose action until
+	// FireDecide; the process is blocked meanwhile.
+	decision *decision
+	crashed  bool
 	// openBroadcast is the message id of the in-progress B.broadcast
 	// invocation, or NoMsg.
 	openBroadcast model.MsgID
@@ -224,7 +253,7 @@ type procState struct {
 func (ps *procState) queued() int { return len(ps.pending) - ps.head }
 
 // pop removes and returns the front action of a non-empty queue.
-func (ps *procState) pop() action {
+func (ps *procState) pop() Action {
 	ps.head++
 	return ps.pending[ps.head-1]
 }
@@ -233,7 +262,7 @@ func (ps *procState) pop() action {
 // as many actions have been popped as remain queued, the queue first
 // slides back to the front: the copy costs at most one element per pop
 // since the last slide, and the array is reused instead of regrown.
-func (ps *procState) push(as []action) {
+func (ps *procState) push(as []Action) {
 	if n := ps.queued(); len(ps.pending)+len(as) > cap(ps.pending) && ps.head >= n {
 		copy(ps.pending, ps.pending[ps.head:])
 		ps.pending, ps.head = ps.pending[:n], 0
@@ -255,9 +284,6 @@ type Config struct {
 	NewApp func(id model.ProcID) App
 	// Inputs are the app's proposed values, indexed by process-1.
 	Inputs []model.Value
-	// AppObject is the k-SA object identity under which app proposals
-	// and decisions are recorded. Defaults to DefaultAppObject.
-	AppObject model.KSAID
 	// Obs receives runtime metrics (step counts per kind, dispatched
 	// events, queue depths, crash injections). Nil disables recording
 	// entirely; the hot path then costs nil checks only.
@@ -268,12 +294,6 @@ type Config struct {
 	// violating step (see LiveViolationError); the verdicts are available
 	// through LiveMonitor whether or not a violation occurred.
 	LiveSpecs []spec.Spec
-	// Sink, when non-nil, receives every recorded step the moment it is
-	// appended — a live tee for streaming consumers, typically a
-	// trace.BinaryWriter persisting the run in wire format v1 without the
-	// step log ever being materialized twice. Called synchronously on the
-	// recording path; a slow sink slows the run.
-	Sink trace.Sink
 }
 
 // DefaultAppObject is the object id used to record app-level (implemented)
@@ -297,11 +317,9 @@ type Runtime struct {
 	// Handlers never run nested (only the dispatch loop invokes them), so
 	// a single Env and its emitted slice serve every call in turn.
 	env Env
-	// mon checks LiveSpecs incrementally as steps are recorded; nil when
-	// no live specs are configured.
-	mon     *spec.Monitor
-	liveV   *spec.Violation
-	liveIdx int
+	// mon checks LiveSpecs incrementally as steps are recorded and
+	// latches the first violation; nil when no live specs are configured.
+	mon *spec.Monitor
 	// evScratch backs enabledEvents: enumeration runs once per scheduled
 	// step, so the slice is reused across steps instead of allocated
 	// fresh (strategies must not retain it — see the Strategy contract).
@@ -319,16 +337,12 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Oracle == nil {
 		cfg.Oracle = NewFreeOracle(1)
 	}
-	if cfg.AppObject == model.NoKSA {
-		cfg.AppObject = DefaultAppObject
-	}
 	r := &Runtime{
 		cfg:     cfg,
 		x:       model.NewExecution(cfg.N),
 		procs:   make([]*procState, cfg.N),
 		nextMsg: 1,
 		met:     newSchedMetrics(cfg.Obs),
-		liveIdx: -1,
 	}
 	if len(cfg.LiveSpecs) > 0 {
 		// Built before the init loop below: app initialization records
@@ -354,7 +368,7 @@ func New(cfg Config) (*Runtime, error) {
 		if int(ps.id)-1 < len(cfg.Inputs) {
 			input = cfg.Inputs[ps.id-1]
 		}
-		r.record(model.Step{Proc: ps.id, Kind: model.KindPropose, Obj: cfg.AppObject, Val: input})
+		r.record(model.Step{Proc: ps.id, Kind: model.KindPropose, Obj: DefaultAppObject, Val: input})
 		ps.app.Init(&appEnv{rt: r, ps: ps}, input)
 	}
 	return r, nil
@@ -376,28 +390,26 @@ func (r *Runtime) Execution() *model.Execution {
 func (r *Runtime) StepCount() int { return r.buf.Len() }
 
 // record appends a step to the execution and counts it. With live specs
-// configured, the step is also fed to their incremental checkers, and the
-// first overall violation is latched together with its step index. A
-// configured Sink observes the step last, after it is durably buffered.
+// configured, the step is also fed to their incremental checkers, whose
+// monitor latches the first violation.
 func (r *Runtime) record(s model.Step) {
-	idx := r.buf.Len()
 	r.buf.Append(s)
 	r.met.record(s)
 	if r.mon != nil {
-		if v := r.mon.Feed(s); v != nil && r.liveV == nil {
-			r.liveV = v
-			r.liveIdx = idx
-		}
-	}
-	if r.cfg.Sink != nil {
-		r.cfg.Sink.Step(s)
+		r.mon.Feed(s)
 	}
 }
 
 // LiveViolation returns the first violation latched by the live checkers
 // and the index of the step that caused it (nil, -1 when none, or when no
-// live specs are configured).
-func (r *Runtime) LiveViolation() (*spec.Violation, int) { return r.liveV, r.liveIdx }
+// live specs are configured; index -1 for a violation latched by the
+// monitor's Finish).
+func (r *Runtime) LiveViolation() (*spec.Violation, int) {
+	if r.mon == nil {
+		return nil, -1
+	}
+	return r.mon.Violation()
+}
 
 // LiveMonitor returns the live checking monitor, nil when no live specs
 // are configured. Callers that want end-of-trace (liveness) verdicts must
@@ -457,5 +469,5 @@ func (e *appEnv) Decide(v model.Value) {
 		return
 	}
 	e.ps.appDecided = true
-	e.rt.record(model.Step{Proc: e.ps.id, Kind: model.KindDecide, Obj: e.rt.cfg.AppObject, Val: v})
+	e.rt.record(model.Step{Proc: e.ps.id, Kind: model.KindDecide, Obj: DefaultAppObject, Val: v})
 }

@@ -496,16 +496,16 @@ func TestActionQueueOrderAndReuse(t *testing.T) {
 	var ps procState
 	pushed, popped := 0, 0
 	push := func(k int) {
-		batch := make([]action, k)
+		batch := make([]Action, k)
 		for i := range batch {
-			batch[i].msg = model.MsgID(pushed)
+			batch[i].Msg = model.MsgID(pushed)
 			pushed++
 		}
 		ps.push(batch)
 	}
 	pop := func() {
-		if a := ps.pop(); a.msg != model.MsgID(popped) {
-			t.Fatalf("popped m%d, want m%d", a.msg, popped)
+		if a := ps.pop(); a.Msg != model.MsgID(popped) {
+			t.Fatalf("popped m%d, want m%d", a.Msg, popped)
 		}
 		popped++
 	}
@@ -621,17 +621,17 @@ func TestEnvExportTakeActions(t *testing.T) {
 	env.Deliver(7, 3, "c")
 	env.ReturnBroadcast(7)
 	env.Internal("n")
-	acts := env.TakeActions()
+	acts := env.TakeActions(nil)
 	if len(acts) != 5 {
 		t.Fatalf("actions: %d", len(acts))
 	}
-	if acts[0].Kind != model.KindSend || acts[0].To != 1 || acts[0].Payload != "a" {
+	if acts[0].Kind != model.KindSend || acts[0].Peer != 1 || acts[0].Payload != "a" {
 		t.Errorf("send action: %+v", acts[0])
 	}
 	if acts[1].Kind != model.KindPropose || acts[1].Obj != 4 || acts[1].Val != "v" {
 		t.Errorf("propose action: %+v", acts[1])
 	}
-	if acts[2].Kind != model.KindDeliver || acts[2].Origin != 3 || acts[2].Msg != 7 {
+	if acts[2].Kind != model.KindDeliver || acts[2].Peer != 3 || acts[2].Msg != 7 {
 		t.Errorf("deliver action: %+v", acts[2])
 	}
 	if acts[3].Kind != model.KindBroadcastReturn || acts[3].Msg != 7 {
@@ -640,9 +640,9 @@ func TestEnvExportTakeActions(t *testing.T) {
 	if acts[4].Kind != model.KindInternal || acts[4].Note != "n" {
 		t.Errorf("internal action: %+v", acts[4])
 	}
-	// Drained: a second call is empty.
-	if got := env.TakeActions(); len(got) != 0 {
-		t.Errorf("TakeActions not draining: %d left", len(got))
+	// Drained: a second call appends nothing.
+	if got := env.TakeActions(acts[:1]); len(got) != 1 {
+		t.Errorf("TakeActions not draining: %d left", len(got)-1)
 	}
 }
 

@@ -39,10 +39,10 @@ func runAlone(s Spec, tr *trace.Trace) (*Violation, int) {
 
 // matchSharedPlan checks tr against every registry spec at degree k: one
 // Monitor over all of them must give each spec the violation text and
-// latching step that a checker of the spec alone gives, and each spec that
-// judged accepts must have a Check with the verdict of its reference
-// leaves. A nil judged compares no Check with the references.
-func matchSharedPlan(tr *trace.Trace, k int, judged func(Spec) bool) error {
+// latching step that a checker of the spec alone gives, and, when
+// withReference is set, each spec must have a Check with the verdict of
+// its reference leaves.
+func matchSharedPlan(tr *trace.Trace, k int, withReference bool) error {
 	specs := registrySpecs(k)
 	mon := NewMonitor(tr.X.N, specs...)
 	for _, st := range tr.X.Steps {
@@ -56,7 +56,7 @@ func matchSharedPlan(tr *trace.Trace, k int, judged func(Spec) bool) error {
 			return fmt.Errorf("k=%d complete=%v %s: shared monitor says %v (step %d), alone %v (step %d)",
 				k, tr.Complete, s.Name(), sv.Violation, sv.StepIdx, alone, idx)
 		}
-		if judged == nil || !judged(s) {
+		if !withReference {
 			continue
 		}
 		if got, ref := s.Check(tr), checkReference(s, tr); !SameVerdict(got, ref) {
@@ -80,7 +80,7 @@ func TestMonitorSharesLeaves(t *testing.T) {
 		for _, complete := range []bool{false, true} {
 			tr.Complete = complete
 			for _, k := range []int{1, 2} {
-				if err := matchSharedPlan(tr, k, everySpec); err != nil {
+				if err := matchSharedPlan(tr, k, true); err != nil {
 					t.Fatalf("round %d: %v\ntrace:\n%s", round, err, tr.X)
 				}
 			}
@@ -111,45 +111,68 @@ func fillPeers(steps []model.Step) {
 	}
 }
 
-func everySpec(Spec) bool { return true }
-
-// referenceDomain reports which specs the reference predicates judge as
-// the leaf checkers do on steps. None unless only p1..pn take steps, every
-// delivery follows a broadcast of its message and no message is broadcast
-// twice: the traces on which the leaf checkers promise the references'
-// verdicts (outside them they differ, e.g. the reference Basic-Broadcast
-// counts a process outside p1..pn as faulty, the leaf as correct). And if
-// the absent message id model.NoMsg is broadcast, none with a Total-Order
-// leaf: the reference findConflict returns NoMsg for "no conflict", so it
-// misses a conflict through m0.
-func referenceDomain(n int, steps []model.Step) func(Spec) bool {
+// inReferenceDomain reports whether the reference predicates judge steps
+// as the leaf checkers do: every delivery follows a broadcast of its
+// message and no message is broadcast twice. These are the traces on
+// which the leaf checkers promise the references' verdicts.
+func inReferenceDomain(steps []model.Step) bool {
 	bcast := make(map[model.MsgID]bool)
 	for _, s := range steps {
-		if s.Proc < 1 || int(s.Proc) > n {
-			return nil
-		}
 		switch s.Kind {
 		case model.KindBroadcastInvoke:
 			if bcast[s.Msg] {
-				return nil
+				return false
 			}
 			bcast[s.Msg] = true
 		case model.KindDeliver:
 			if !bcast[s.Msg] {
-				return nil
-			}
-		}
-	}
-	if !bcast[model.NoMsg] {
-		return everySpec
-	}
-	return func(s Spec) bool {
-		for _, l := range s.leaves {
-			if l.key == "Total-Order" {
 				return false
 			}
 		}
-		return true
+	}
+	return true
+}
+
+// TestOnlyP1ToPnAreCorrect: an id outside p1..pn names no process of the
+// system, so no liveness clause counts it as correct, as in
+// Execution.CorrectSet. The first trace is the one FuzzSpecMonitor found:
+// p15 broadcasts m0 and never returns, and the leaf blamed
+// BC-Local-Termination on p15 where the reference admits the trace.
+func TestOnlyP1ToPnAreCorrect(t *testing.T) {
+	invoke := func(p model.ProcID, m model.MsgID) model.Step {
+		return model.Step{Proc: p, Kind: model.KindBroadcastInvoke, Msg: m}
+	}
+	ret := func(p model.ProcID, m model.MsgID) model.Step {
+		return model.Step{Proc: p, Kind: model.KindBroadcastReturn, Msg: m}
+	}
+	cases := []struct {
+		name  string
+		steps []model.Step
+		spec  Spec
+		want  string // the violated property, "" for none
+	}{
+		{"p15 never returns", []model.Step{invoke(15, 0)}, SendToAll(), ""},
+		{"p15 never returns, p1 never delivers m1", []model.Step{invoke(15, 0), invoke(1, 1), ret(1, 1)}, BasicBroadcast(), "BC-Global-CS-Termination"},
+		{"nobody delivers p15's m2", []model.Step{invoke(15, 2), ret(15, 2)}, BasicBroadcast(), ""},
+		{"p15 never receives m3", []model.Step{{Proc: 1, Kind: model.KindSend, Peer: 15, Msg: 3}}, Channels(), ""},
+		{"p15 never decides", []model.Step{{Proc: 15, Kind: model.KindPropose, Obj: 1, Val: "v"}}, KSA(1), ""},
+	}
+	for _, c := range cases {
+		x := model.NewExecution(1)
+		x.Append(c.steps...)
+		tr := &trace.Trace{X: x, Complete: true}
+		got := ""
+		if v := c.spec.Check(tr); v != nil {
+			got = v.Property
+		}
+		if got != c.want {
+			t.Errorf("%s: %s violates %q, want %q", c.name, c.spec.Name(), got, c.want)
+		}
+		for _, k := range []int{1, 2} {
+			if err := matchSharedPlan(tr, k, true); err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+		}
 	}
 }
 
@@ -181,6 +204,8 @@ func FuzzSpecMonitor(f *testing.F) {
 		cat(b(1, 1), b(2, 2), []model.Step{d(3, 1, 0), d(3, 2, 0)}, b(3, 3), []model.Step{d(2, 3, 0)}),
 		// SCD sets in opposite orders, and a delivery before its broadcast.
 		cat(b(1, 1), []model.Step{d(1, 1, 1), d(1, 2, 2), d(2, 2, 3), d(2, 1, 1)}, b(2, 2)),
+		// A total-order conflict through the message id m0.
+		cat(b(1, 0), b(2, 1), []model.Step{d(1, 0, 0), d(1, 1, 0), d(2, 1, 0), d(2, 0, 0)}),
 	}
 	for _, s := range seeds {
 		f.Add(fuzzBytes(3, s))
@@ -192,7 +217,7 @@ func FuzzSpecMonitor(f *testing.F) {
 		for _, complete := range []bool{false, true} {
 			tr.Complete = complete
 			for _, k := range []int{1, 2} {
-				if err := matchSharedPlan(tr, k, referenceDomain(n, steps)); err != nil {
+				if err := matchSharedPlan(tr, k, inReferenceDomain(steps)); err != nil {
 					t.Fatalf("n=%d: %v\nsteps: %v", n, err, steps)
 				}
 			}

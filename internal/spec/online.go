@@ -65,7 +65,8 @@ func (c *wellFormedChecker) feed(i int, s *model.Step) *Violation {
 	return nil
 }
 
-// crashTracker gives checkers with liveness clauses the correct set.
+// crashTracker gives checkers with liveness clauses the correct set: the
+// processes p1..pn that have not crashed.
 type crashTracker struct {
 	n       int
 	crashed map[model.ProcID]bool
@@ -81,7 +82,9 @@ func (c *crashTracker) observe(s *model.Step) {
 	}
 }
 
-func (c *crashTracker) correct(p model.ProcID) bool { return !c.crashed[p] }
+func (c *crashTracker) correct(p model.ProcID) bool {
+	return p >= 1 && int(p) <= c.n && !c.crashed[p]
+}
 
 // basicBcast is the retained per-message broadcast summary of
 // basicChecker (the streaming replacement for Index.Broadcasts).

@@ -463,7 +463,7 @@ func checkCausal(t *trace.Trace) *Violation {
 
 func checkTotalOrder(t *trace.Trace) *Violation {
 	ix := t.Index()
-	if a, b, p, q := findConflict(t.X.N, ix); a != model.NoMsg {
+	if a, b, p, q, ok := findConflict(t.X.N, ix); ok {
 		return &Violation{Spec: "Total-Order", Property: "Total-Order",
 			Detail: fmt.Sprintf("%v delivers m%d before m%d but %v delivers m%d before m%d", p, a, b, q, b, a), StepIdx: -1}
 	}
@@ -471,14 +471,14 @@ func checkTotalOrder(t *trace.Trace) *Violation {
 }
 
 // findConflict returns one conflicting pair (a delivered before b at p, b
-// before a at q), or NoMsg if none exists.
-func findConflict(n int, ix *trace.Index) (a, b model.MsgID, p, q model.ProcID) {
+// before a at q); ok is false if none exists.
+func findConflict(n int, ix *trace.Index) (a, b model.MsgID, p, q model.ProcID, ok bool) {
 	conflicts := conflictPairs(n, ix, 1)
 	if len(conflicts) == 0 {
-		return model.NoMsg, model.NoMsg, model.NoProc, model.NoProc
+		return a, b, p, q, false
 	}
 	c := conflicts[0]
-	return c.a, c.b, c.p, c.q
+	return c.a, c.b, c.p, c.q, true
 }
 
 // conflictPairs computes the pairs of messages delivered in opposite

@@ -115,7 +115,7 @@ const (
 )
 
 // BinaryWriter encodes a step stream in wire format v1. It implements
-// Sink, so a runtime recorder can tee steps straight into it; errors are
+// Sink, so a recorder can stream steps straight into it; errors are
 // sticky (Step is error-free by signature) and surface from Err and
 // Close. Close writes the final partial block and the end marker —
 // without it the stream is, by design, detectably truncated.

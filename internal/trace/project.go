@@ -2,50 +2,19 @@ package trace
 
 import "nobroadcast/internal/model"
 
-// This file provides runtime-independent projections of a trace's
-// broadcast events. The two runtimes allocate message identities
-// differently (the deterministic runtime shares one counter between
-// broadcast messages and point-to-point instances; the concurrent runtime
-// numbers broadcasts densely), so cross-runtime comparison — the job of
-// internal/conformance — must erase identities and key events by
+// This file provides a runtime-independent projection of a trace's
+// B-deliveries. The two runtimes allocate message identities differently
+// (the deterministic runtime shares one counter between broadcast
+// messages and point-to-point instances; the concurrent runtime numbers
+// broadcasts densely), so cross-runtime comparison — the job of
+// internal/conformance — must erase identities and key deliveries by
 // (origin, content) instead. Broadcast contents are unique per message in
 // the generated workloads, which makes the erased form lossless there.
-
-// BEvent is one identity-erased broadcast-interface event: the step kind,
-// the broadcasting process, and the message content. For invocations and
-// returns Origin is the acting process itself; for deliveries it is the
-// original broadcaster.
-type BEvent struct {
-	Kind    model.StepKind
-	Origin  model.ProcID
-	Payload model.Payload
-}
 
 // DeliveryEvent is one identity-erased B-delivery.
 type DeliveryEvent struct {
 	Origin  model.ProcID
 	Payload model.Payload
-}
-
-// ProjectBEvents returns, per process, the sequence of broadcast-interface
-// events (invocations, returns, deliveries) the process takes, in trace
-// order, identity-erased. Return steps carry no payload of their own; it
-// is resolved from the matching invocation.
-func ProjectBEvents(t *Trace) map[model.ProcID][]BEvent {
-	payloadOf := make(map[model.MsgID]model.Payload)
-	out := make(map[model.ProcID][]BEvent)
-	for _, s := range t.X.Steps {
-		switch s.Kind {
-		case model.KindBroadcastInvoke:
-			payloadOf[s.Msg] = s.Payload
-			out[s.Proc] = append(out[s.Proc], BEvent{Kind: s.Kind, Origin: s.Proc, Payload: s.Payload})
-		case model.KindBroadcastReturn:
-			out[s.Proc] = append(out[s.Proc], BEvent{Kind: s.Kind, Origin: s.Proc, Payload: payloadOf[s.Msg]})
-		case model.KindDeliver:
-			out[s.Proc] = append(out[s.Proc], BEvent{Kind: s.Kind, Origin: s.Peer, Payload: s.Payload})
-		}
-	}
-	return out
 }
 
 // ProjectDeliveries returns, per process, the identity-erased sequence of

@@ -18,10 +18,12 @@ import (
 var ErrTruncated = errors.New("truncated trace stream")
 
 // Streaming trace support: a JSONL wire format (one header object, then
-// one step object per line) and the Sink interface the runtimes tee
-// recorded steps into. Together they let a consumer — typically an online
-// spec checker — process an execution of any length in O(checker state)
-// memory, without the full step log ever being resident.
+// one step object per line) and the Sink interface a step stream is
+// written through (a socket node streams its recorded steps into a
+// BinaryWriter; cmd/ksatrace converts formats through one). Together they
+// let a consumer — typically an online spec checker — process an
+// execution of any length in O(checker state) memory, without the full
+// step log ever being resident.
 
 // Sink receives the steps of an execution as they are recorded, in order.
 // It is the streaming alternative to materializing a Trace.
