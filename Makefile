@@ -1,5 +1,5 @@
 # Convenience targets for the reproduction artifact.
-.PHONY: all test race bench-all fuzz-smoke figure1 impossibility outputs metrics-smoke serve-smoke load-smoke fabric-smoke socket-smoke profile-feed
+.PHONY: all test race bench-all fuzz-smoke figure1 impossibility outputs metrics-smoke serve-smoke load-smoke fabric-smoke socket-smoke profile-feed profile-hunt
 all: test
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -119,6 +119,15 @@ profile-feed:
 	go test -run '^$$' -bench 'BenchmarkCheckerFeed$$' -benchtime 2x \
 	  -cpuprofile /tmp/feed.pprof -o /tmp/spec.test ./internal/spec
 	@echo "profile written to /tmp/feed.pprof (binary /tmp/spec.test)"
+
+# profile-hunt: CPU profile of 150 hunt ops (explore's search and ddmin
+# minimization, one worker, GOMAXPROCS 1), the path ksabench's hunt
+# workload times:
+#   go tool pprof -top /tmp/explore.test /tmp/hunt.pprof
+profile-hunt:
+	go test -run '^$$' -bench 'BenchmarkExploreHunt$$' -benchtime 150x -cpu 1 -benchmem \
+	  -cpuprofile /tmp/hunt.pprof -o /tmp/explore.test ./internal/explore
+	@echo "profile written to /tmp/hunt.pprof (binary /tmp/explore.test)"
 
 # fuzz-smoke: a short budgeted run of every fuzz target — enough to catch
 # an outright decoder regression on the seed-adjacent frontier without

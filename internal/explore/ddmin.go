@@ -14,8 +14,13 @@ import "nobroadcast/internal/sched"
 // Decisions removed from the middle remain meaningful because the replay
 // strategy (sched.NewReplay) skips decisions that no longer apply and
 // matches messages by endpoints rather than allocation-order ids.
+//
+// Candidates are built in one spare buffer, which trades places with cur
+// whenever a candidate reproduces, so a minimization allocates two
+// buffers in all; test must not retain the slice it is passed.
 func ddmin(decisions []sched.Event, test func([]sched.Event) (bool, error)) ([]sched.Event, error) {
 	cur := append([]sched.Event(nil), decisions...)
+	spare := make([]sched.Event, 0, len(cur))
 	n := 2
 	for len(cur) >= 2 && n <= len(cur) {
 		chunk := (len(cur) + n - 1) / n
@@ -26,15 +31,14 @@ func ddmin(decisions []sched.Event, test func([]sched.Event) (bool, error)) ([]s
 				end = len(cur)
 			}
 			// Try the complement: everything except cur[start:end].
-			cand := make([]sched.Event, 0, len(cur)-(end-start))
-			cand = append(cand, cur[:start]...)
+			cand := append(spare[:0], cur[:start]...)
 			cand = append(cand, cur[end:]...)
 			ok, err := test(cand)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				cur = cand
+				cur, spare = cand, cur
 				if n > 2 {
 					n--
 				}

@@ -146,7 +146,6 @@ type Result struct {
 type cellOut struct {
 	steps     int
 	v         *spec.Violation
-	stepIdx   int
 	decisions []sched.Event
 }
 
@@ -239,39 +238,27 @@ func (e *engine) search(c sweep.Cell) (cellOut, error) {
 		return cellOut{}, err
 	}
 	rec := sched.NewRecorder(strat)
-	_, err = rt.Run(rec, e.runOptions(c.Seed))
-	out := cellOut{steps: rt.StepCount()}
-	var lve *sched.LiveViolationError
-	switch {
-	case err == nil:
-	case errors.As(err, &lve):
-		out.v = lve.V
-		out.stepIdx = lve.StepIdx
-		out.decisions = append([]sched.Event(nil), rec.Decisions()...)
-	default:
+	if _, err := rt.Drive(rec, e.runOptions(c.Seed)); err != nil {
 		return cellOut{}, err
+	}
+	out := cellOut{steps: rt.StepCount()}
+	if v, _ := rt.LiveViolation(); v != nil {
+		out.v = v
+		out.decisions = append([]sched.Event(nil), rec.Decisions()...)
 	}
 	return out, nil
 }
 
-// reproduces replays a decision sequence and reports whether it still
-// triggers a violation of the same property. replays counts attempts.
-func (e *engine) reproduces(decisions []sched.Event, want *spec.Violation, cellSeed uint64, replays *int) (*sched.LiveViolationError, bool, error) {
-	*replays++
-	rt, err := e.runtime()
-	if err != nil {
-		return nil, false, err
+// reproduces resets rt, replays a decision sequence on it and reports
+// whether the replay still violates the same property. It builds no
+// trace: a ddmin candidate needs only the verdict.
+func (e *engine) reproduces(rt *sched.Runtime, decisions []sched.Event, want *spec.Violation, opts sched.RunOptions) (bool, error) {
+	rt.Reset(e.cand.OracleFor(e.opts.K))
+	if _, err := rt.Drive(sched.NewReplay(decisions), opts); err != nil {
+		return false, err
 	}
-	_, err = rt.Run(sched.NewReplay(decisions), e.runOptions(cellSeed))
-	var lve *sched.LiveViolationError
-	switch {
-	case err == nil:
-		return nil, false, nil
-	case errors.As(err, &lve):
-		return lve, lve.V.Spec == want.Spec && lve.V.Property == want.Property, nil
-	default:
-		return nil, false, err
-	}
+	v, _ := rt.LiveViolation()
+	return v != nil && v.Spec == want.Spec && v.Property == want.Property, nil
 }
 
 // Run explores the schedule space. The returned Result is deterministic
@@ -427,15 +414,21 @@ type minimized struct {
 }
 
 // minimizeFinding ddmin-reduces the finding's decision sequence and
-// encodes the minimized violating run as a .ktr trace.
+// encodes the minimized violating run as a .ktr trace. All its replays
+// run on one runtime, reset before each.
 func (e *engine) minimizeFinding(ctx context.Context, out cellOut, cellSeed uint64) (*minimized, int, error) {
+	rt, err := e.runtime()
+	if err != nil {
+		return nil, 0, err
+	}
+	opts := e.runOptions(cellSeed)
 	replays := 0
 	test := func(decisions []sched.Event) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		_, ok, err := e.reproduces(decisions, out.v, cellSeed, &replays)
-		return ok, err
+		replays++
+		return e.reproduces(rt, decisions, out.v, opts)
 	}
 	min, err := ddmin(out.decisions, test)
 	if err != nil {
@@ -443,11 +436,14 @@ func (e *engine) minimizeFinding(ctx context.Context, out cellOut, cellSeed uint
 	}
 	// Re-execute the minimized schedule once more for its trace; by
 	// construction it still violates the same property.
-	lve, ok, err := e.reproduces(min, out.v, cellSeed, &replays)
-	if err != nil {
+	replays++
+	rt.Reset(e.cand.OracleFor(e.opts.K))
+	_, err = rt.Run(sched.NewReplay(min), opts)
+	var lve *sched.LiveViolationError
+	if err != nil && !errors.As(err, &lve) {
 		return nil, replays, err
 	}
-	if !ok {
+	if lve == nil || lve.V.Spec != out.v.Spec || lve.V.Property != out.v.Property {
 		return nil, replays, fmt.Errorf("explore: minimized schedule (%d decisions) stopped reproducing %s/%s", len(min), out.v.Spec, out.v.Property)
 	}
 	var ktr bytes.Buffer

@@ -14,13 +14,16 @@ package model
 // executions directly) is a single exactly-sized allocation plus one copy,
 // paid only when a reader actually asks.
 //
-// The zero value is an empty buffer ready for use. A StepBuffer is not safe
-// for concurrent use; callers that share one across goroutines (the
-// concurrent runtime's recorder) serialize access themselves.
+// The zero value is an empty buffer ready for use. Reset empties it and
+// keeps its chunks, so a buffer refilled to its old length allocates
+// nothing. A StepBuffer is not safe for concurrent use; callers that share
+// one across goroutines (the concurrent runtime's recorder) serialize
+// access themselves.
 type StepBuffer struct {
-	// chunks are all full except the last; the invariant lets At and
-	// AppendTo address step i as chunks[i/chunkSize][i%chunkSize]. Only
-	// chunks[0] may have a capacity below chunkSize.
+	// Step i lives at chunks[i/chunkSize][i%chunkSize]: the chunks before
+	// the one holding step n-1 are full, and the chunks after it are
+	// empty ones that Reset kept for reuse. Only chunks[0] may have a
+	// capacity below chunkSize.
 	chunks [][]Step
 	n      int
 }
@@ -40,22 +43,32 @@ const ChunkSteps = chunkSize
 
 // Append adds one step at the end of the buffer.
 func (b *StepBuffer) Append(s Step) {
-	last := len(b.chunks) - 1
+	c := b.n / chunkSize
 	switch {
-	case last < 0:
-		b.chunks = append(b.chunks, make([]Step, 0, firstChunkCap))
-		last = 0
-	case len(b.chunks[last]) == chunkSize:
-		b.chunks = append(b.chunks, make([]Step, 0, chunkSize))
-		last++
-	case len(b.chunks[last]) == cap(b.chunks[last]):
+	case c == len(b.chunks):
+		size := chunkSize
+		if c == 0 {
+			size = firstChunkCap
+		}
+		b.chunks = append(b.chunks, make([]Step, 0, size))
+	case len(b.chunks[c]) == cap(b.chunks[c]):
 		// Only the first chunk can be full below chunkSize: double it.
-		grown := make([]Step, len(b.chunks[last]), min(2*cap(b.chunks[last]), chunkSize))
-		copy(grown, b.chunks[last])
-		b.chunks[last] = grown
+		grown := make([]Step, len(b.chunks[c]), min(2*cap(b.chunks[c]), chunkSize))
+		copy(grown, b.chunks[c])
+		b.chunks[c] = grown
 	}
-	b.chunks[last] = append(b.chunks[last], s)
+	b.chunks[c] = append(b.chunks[c], s)
 	b.n++
+}
+
+// Reset empties the buffer and keeps its chunks for the steps appended
+// next. Steps read out earlier through At, AppendTo or Steps are copies,
+// so they stay valid.
+func (b *StepBuffer) Reset() {
+	for i := range b.chunks {
+		b.chunks[i] = b.chunks[i][:0]
+	}
+	b.n = 0
 }
 
 // Len returns the number of buffered steps.

@@ -167,3 +167,43 @@ func allocatedBytes(f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
+
+// TestStepBufferResetReusesChunks: a reset buffer reads as empty, refills
+// with new steps that read back correctly across chunk boundaries, and
+// allocates nothing while it refills to its old length.
+func TestStepBufferResetReusesChunks(t *testing.T) {
+	var b StepBuffer
+	const n = 3*chunkSize + 17
+	for i := 0; i < n; i++ {
+		b.Append(mkStep(i))
+	}
+	old := b.Steps()
+	b.Reset()
+	if b.Len() != 0 {
+		t.Fatalf("Len = %d after Reset", b.Len())
+	}
+	for i := 0; i < n; i++ {
+		b.Append(mkStep(n + i))
+	}
+	got := b.AppendTo(nil)
+	for i, s := range got {
+		if s != mkStep(n+i) {
+			t.Fatalf("step %d after Reset = %+v, want %+v", i, s, mkStep(n+i))
+		}
+	}
+	if len(got) != n || b.At(n-1) != mkStep(2*n-1) {
+		t.Fatalf("refilled buffer holds %d steps, last %+v", len(got), b.At(n-1))
+	}
+	if old[chunkSize] != mkStep(chunkSize) {
+		t.Error("Reset changed a slice Steps returned before it")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		b.Reset()
+		for i := 0; i < n; i++ {
+			b.Append(mkStep(i))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refilling a reset buffer allocated %v times, want 0", allocs)
+	}
+}

@@ -213,13 +213,13 @@ func (c *Core) send(ps *proc, to model.ProcID, payload model.Payload) {
 		c.met.dropped.Inc()
 		return
 	}
-	delays := c.egress.Pass(ps.id, to)
-	if len(delays) == 0 {
+	delays, copies := c.egress.Pass(ps.id, to)
+	if copies == 0 {
 		return
 	}
 	from, seq := ps.id, ps.seq[to-1]
 	ps.seq[to-1]++
-	for i, d := range delays {
+	for i, d := range delays[:copies] {
 		if d == 0 {
 			// Inline: zero-delay links stay per-link FIFO, so the reorder
 			// counter is exactly zero on delay-free fault-free runs.

@@ -53,33 +53,33 @@ func NewEgress(plan *FaultPlan, n int, seed uint64, maxDelay time.Duration, reg 
 	}, nil
 }
 
-// Pass decides one transmission from→to: the returned slice holds one
-// transit delay per copy to put on the wire. Empty means the message is
-// lost (an active partition severs the link, or the drop coin fired);
-// two entries mean the duplication coin fired. Fault injections count
-// under the net.faults.* metrics.
-func (e *Egress) Pass(from, to model.ProcID) []time.Duration {
+// Pass decides one transmission from→to: delays[:copies] holds one
+// transit delay per copy to put on the wire. Zero copies means the
+// message is lost (an active partition severs the link, or the drop coin
+// fired); two mean the duplication coin fired. The delays come back in
+// an array, so a send allocates nothing. Fault injections count under
+// the net.faults.* metrics.
+func (e *Egress) Pass(from, to model.ProcID) (delays [2]time.Duration, copies int) {
 	e.met.sent.Inc()
 	if e.fs.cut(from, to, time.Since(e.start), e.met) {
-		return nil
+		return delays, 0
 	}
 	drop, dup := e.fs.linkProbs(from, to)
 	if drop > 0 && e.rng.float64() < drop {
 		e.met.faultDropped.Inc()
-		return nil
+		return delays, 0
 	}
-	copies := 1
+	copies = 1
 	if dup > 0 && e.rng.float64() < dup {
 		copies = 2
 		e.met.faultDuplicated.Inc()
 	}
-	out := make([]time.Duration, copies)
-	for i := range out {
+	for i := 0; i < copies; i++ {
 		d := e.delay()
 		e.met.delayUS.Observe(d.Microseconds())
-		out[i] = d
+		delays[i] = d
 	}
-	return out
+	return delays, copies
 }
 
 // delay draws one transit delay from the plan's distribution override,

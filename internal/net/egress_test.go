@@ -14,9 +14,9 @@ func TestEgressReliableDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		ds := e.Pass(1, 2)
-		if len(ds) != 1 || ds[0] != 0 {
-			t.Fatalf("reliable zero-delay egress returned %v", ds)
+		ds, copies := e.Pass(1, 2)
+		if copies != 1 || ds[0] != 0 {
+			t.Fatalf("reliable zero-delay egress returned %v", ds[:copies])
 		}
 	}
 	st := e.Stats()
@@ -32,7 +32,7 @@ func TestEgressDropAndDup(t *testing.T) {
 	}
 	var lost, dups int
 	for i := 0; i < 1000; i++ {
-		switch len(e.Pass(1, 2)) {
+		switch _, copies := e.Pass(1, 2); copies {
 		case 0:
 			lost++
 		case 2:
@@ -59,15 +59,15 @@ func TestEgressPartitionCutsAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds := e.Pass(1, 2); len(ds) != 0 {
-		t.Fatalf("active partition passed a message: %v", ds)
+	if ds, copies := e.Pass(1, 2); copies != 0 {
+		t.Fatalf("active partition passed a message: %v", ds[:copies])
 	}
-	if ds := e.Pass(2, 1); len(ds) != 0 {
+	if _, copies := e.Pass(2, 1); copies != 0 {
 		t.Fatal("partitions cut both directions")
 	}
 	time.Sleep(60 * time.Millisecond)
-	if ds := e.Pass(1, 2); len(ds) != 1 {
-		t.Fatalf("healed link still cut: %v", ds)
+	if ds, copies := e.Pass(1, 2); copies != 1 {
+		t.Fatalf("healed link still cut: %v", ds[:copies])
 	}
 	if e.Stats().PartitionDrops != 2 {
 		t.Errorf("PartitionDrops = %d, want 2", e.Stats().PartitionDrops)
@@ -82,7 +82,7 @@ func TestEgressSeededDeterminism(t *testing.T) {
 		}
 		out := make([]int, 200)
 		for i := range out {
-			out[i] = len(e.Pass(1, 2))
+			_, out[i] = e.Pass(1, 2)
 		}
 		return out
 	}

@@ -115,12 +115,13 @@ func TestReceiveRejectsUnknownEndpoints(t *testing.T) {
 	}
 }
 
-// deliverStub B-delivers and returns each broadcast at once, sending
-// nothing.
+// deliverStub sends each broadcast to its own process, then B-delivers
+// and returns it at once.
 type deliverStub struct{}
 
 func (deliverStub) Init(*sched.Env) {}
 func (deliverStub) OnBroadcast(env *sched.Env, msg model.MsgID, payload model.Payload) {
+	env.Send(env.ID(), payload)
 	env.Deliver(msg, env.ID(), payload)
 	env.ReturnBroadcast(msg)
 }
@@ -128,14 +129,17 @@ func (deliverStub) OnReceive(*sched.Env, model.ProcID, model.Payload) {}
 func (deliverStub) OnDecide(*sched.Env, model.KSAID, model.Value)     {}
 
 // TestHandleAllocatesNothing: every handler call of a process runs on the
-// process's one Env and cascade buffer, so once both have grown, handling
-// a broadcast that delivers and returns allocates nothing.
+// process's one Env and cascade buffer, and the egress returns a send's
+// delays without a heap slice, so once both buffers have grown, handling
+// a broadcast that sends, delivers and returns allocates nothing.
 func TestHandleAllocatesNothing(t *testing.T) {
 	eg, err := NewEgress(nil, 1, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	emitted := 0
 	c := NewCore(1, []model.ProcID{1}, func(model.ProcID) sched.Automaton { return deliverStub{} }, 1, eg, Transport{
+		Emit:   func(model.ProcID, model.ProcID, int64, int, model.Payload) { emitted++ },
 		Record: func(model.Step) {},
 	})
 	ps := c.procs[0]
@@ -148,5 +152,8 @@ func TestHandleAllocatesNothing(t *testing.T) {
 	}
 	if got := ps.returned.Load(); got != 101 {
 		t.Errorf("returned %d, want 101", got)
+	}
+	if emitted != 101 {
+		t.Errorf("emitted %d sends, want 101", emitted)
 	}
 }

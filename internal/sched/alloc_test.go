@@ -3,8 +3,10 @@ package sched_test
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"nobroadcast/internal/broadcast"
+	"nobroadcast/internal/model"
 	"nobroadcast/internal/sched"
 )
 
@@ -44,5 +46,58 @@ func TestShortRunAllocatesLittle(t *testing.T) {
 	const bound = 48 << 10
 	if perRun > bound {
 		t.Errorf("a 29-step run allocated %d B, want at most %d", perRun, bound)
+	}
+}
+
+// chattyAutomaton takes steps internal steps at Init and nothing else.
+type chattyAutomaton struct{ steps int }
+
+func (a chattyAutomaton) Init(env *sched.Env) {
+	for i := 0; i < a.steps; i++ {
+		env.Internal("tick")
+	}
+}
+func (chattyAutomaton) OnBroadcast(*sched.Env, model.MsgID, model.Payload) {}
+func (chattyAutomaton) OnReceive(*sched.Env, model.ProcID, model.Payload)  {}
+func (chattyAutomaton) OnDecide(*sched.Env, model.KSAID, model.Value)      {}
+
+// TestResetReplayAllocatesNoStepChunk pins the reuse a minimization
+// relies on: a replay on a reset runtime records into the step log's old
+// chunks. The run records 3,000 steps, three chunks; a replay allocates
+// less than the smallest chunk the log ever makes (32 steps), so it made
+// none. Not parallel: the measurement reads the process-wide allocation
+// counter.
+func TestResetReplayAllocatesNoStepChunk(t *testing.T) {
+	const n, perProc = 3, 1000
+	rt, err := sched.New(sched.Config{N: n, NewAutomaton: func(model.ProcID) sched.Automaton { return chattyAutomaton{steps: perProc} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sched.NewRecorder(sched.NewRandom())
+	if _, err := rt.Drive(rec, sched.RunOptions{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	decisions := append([]sched.Event(nil), rec.Decisions()...)
+	replay := func() {
+		rt.Reset(nil)
+		if _, err := rt.Drive(sched.NewReplay(decisions), sched.RunOptions{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.StepCount(); got != n*perProc {
+			t.Fatalf("replay recorded %d steps, want %d", got, n*perProc)
+		}
+	}
+	replay()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		replay()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d B allocated per replay of %d steps", perRun, n*perProc)
+	if bound := 32 * uint64(unsafe.Sizeof(model.Step{})); perRun >= bound {
+		t.Errorf("a replay on a reset runtime allocated %d B, want less than one 32-step chunk (%d B)", perRun, bound)
 	}
 }

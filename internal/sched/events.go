@@ -98,6 +98,9 @@ func (r *Runtime) ExecNext(p model.ProcID) (step model.Step, ok bool, err error)
 	case model.KindSend:
 		r.network = append(r.network, inFlight{inst: step.Msg, from: ps.id, to: a.Peer, payload: a.Payload})
 		r.met.network(len(r.network))
+		if a.Peer < 1 || int(a.Peer) > r.cfg.N {
+			r.stranded = true
+		}
 	case model.KindPropose:
 		ps.decision = &decision{obj: a.Obj, val: r.cfg.Oracle.Propose(a.Obj, ps.id, a.Val)}
 	case model.KindDeliver:
@@ -192,8 +195,9 @@ func (r *Runtime) Crash(p model.ProcID) error {
 		return fmt.Errorf("sched: %v already crashed", p)
 	}
 	ps.crashed = true
-	ps.pending, ps.head = nil, 0
+	ps.pending, ps.head = ps.pending[:0], 0
 	ps.decision = nil
+	r.stranded = true
 	r.record(model.Step{Proc: p, Kind: model.KindCrash})
 	r.met.crashed()
 	return nil

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"nobroadcast/internal/model"
 	"nobroadcast/internal/spec"
@@ -9,7 +10,7 @@ import (
 )
 
 // This file provides the unified strategy-driven run loop on top of the
-// event primitives: crash injection, enabled-event enumeration, and
+// event primitives: crash injection, the view of the enabled events, and
 // fail-fast live checking are shared, while the pick itself is delegated
 // to a Strategy (strategy.go). RunFair and RunRandom are thin wrappers
 // preserving the historical entry points and their exact schedules. The
@@ -86,61 +87,128 @@ func (o RunOptions) maxEvents() int {
 	return o.MaxEvents
 }
 
-// runState carries the per-run scheduling state.
-type runState struct {
-	// queues holds not-yet-invoked upper-layer broadcasts per process.
-	queues map[model.ProcID][]model.Payload
-}
-
-func newRunState(opts RunOptions) *runState {
-	st := &runState{queues: make(map[model.ProcID][]model.Payload)}
-	for _, b := range opts.Broadcasts {
-		st.queues[b.Proc] = append(st.queues[b.Proc], b.Payload)
+// queueBroadcasts replaces every process's queue of upper-layer
+// broadcasts with the run's RunOptions.Broadcasts. A request naming no
+// process of the system is never enabled, so it is not queued.
+func (r *Runtime) queueBroadcasts(reqs []BroadcastReq) {
+	for _, ps := range r.procs {
+		ps.invokes = ps.invokes[:0]
 	}
-	return st
-}
-
-// canInvoke reports whether process p may take its next upper-layer
-// broadcast invocation: alive, not blocked mid-proposition, and no open
-// invocation.
-func (r *Runtime) canInvoke(st *runState, p model.ProcID) bool {
-	ps, err := r.proc(p)
-	if err != nil {
-		return false
+	for _, b := range reqs {
+		if ps, err := r.proc(b.Proc); err == nil {
+			ps.invokes = append(ps.invokes, b.Payload)
+		}
 	}
-	return len(st.queues[p]) > 0 && !ps.crashed && ps.decision == nil && ps.openBroadcast == model.NoMsg
 }
 
-// enabledEvents lists the currently enabled events in a deterministic
-// order. The returned slice is backed by a per-runtime scratch buffer
-// reused across steps (enumeration runs once per scheduled event and
-// dominated allocations in long explorations); callers — strategies
-// included — must not retain it past the step.
-func (r *Runtime) enabledEvents(st *runState) []Event {
-	out := r.evScratch[:0]
+// Enabled is the set of events enabled at one step of a run, as the run
+// loop shows it to Strategy.Next. Its order is fixed: for each live
+// process by id, its decide or exec event, then its invoke event; then
+// one receive event per in-flight message addressed to a live process,
+// in send order. A view is valid only during the Next call it is passed
+// to: the next step changes what it shows.
+type Enabled struct {
+	rt *Runtime
+	// procs holds the process events, rebuilt before every decision (at
+	// most two per process). The receive events are read off the
+	// runtime's in-flight list.
+	procs []procEvent
+	// live lists the in-flight positions of the deliverable messages,
+	// when filtered. Until a message can be undeliverable (see
+	// Runtime.stranded) every in-flight message is deliverable, and
+	// receive event j is the message at position j.
+	live     []int
+	filtered bool
+}
+
+// procEvent is an enabled exec, decide or invoke event.
+type procEvent struct {
+	kind EventKind
+	proc model.ProcID
+}
+
+// Len returns the number of enabled events.
+func (v *Enabled) Len() int {
+	if v.filtered {
+		return len(v.procs) + len(v.live)
+	}
+	return len(v.procs) + len(v.rt.network)
+}
+
+// At returns enabled event i. It panics when i is out of [0, Len()),
+// matching slice indexing.
+func (v *Enabled) At(i int) Event {
+	if i < len(v.procs) {
+		return Event{Kind: v.procs[i].kind, Proc: v.procs[i].proc}
+	}
+	j := i - len(v.procs)
+	if v.filtered {
+		j = v.live[j]
+	}
+	f := &v.rt.network[j]
+	return Event{Kind: EventReceive, Proc: f.to, Net: j, Msg: f.inst, From: f.from}
+}
+
+// find returns the index of the process event of the given kind by p,
+// or -1.
+func (v *Enabled) find(kind EventKind, p model.ProcID) int {
+	for i, e := range v.procs {
+		if e.kind == kind && e.proc == p {
+			return i
+		}
+	}
+	return -1
+}
+
+// receive returns the index of the receive event of in-flight position
+// net, or -1 when that message is not deliverable.
+func (v *Enabled) receive(net int) int {
+	if !v.filtered {
+		if net >= 0 && net < len(v.rt.network) {
+			return len(v.procs) + net
+		}
+		return -1
+	}
+	if i, ok := slices.BinarySearch(v.live, net); ok {
+		return len(v.procs) + i
+	}
+	return -1
+}
+
+// enabled refreshes the runtime's view of the enabled events for the
+// next decision.
+func (r *Runtime) enabled() *Enabled {
+	v := &r.view
+	procs := v.procs[:0]
 	for _, ps := range r.procs {
 		if ps.crashed {
 			continue
 		}
 		if ps.decision != nil {
-			out = append(out, Event{Kind: EventDecide, Proc: ps.id})
+			procs = append(procs, procEvent{EventDecide, ps.id})
 		} else if ps.queued() > 0 {
-			out = append(out, Event{Kind: EventExec, Proc: ps.id})
+			procs = append(procs, procEvent{EventExec, ps.id})
 		}
-		if r.canInvoke(st, ps.id) {
-			out = append(out, Event{Kind: EventInvoke, Proc: ps.id})
-		}
-	}
-	for i, f := range r.network {
-		if to, err := r.proc(f.to); err == nil && !to.crashed {
-			out = append(out, Event{Kind: EventReceive, Proc: f.to, Net: i, Msg: f.inst, From: f.from})
+		// An upper-layer invocation waits for the previous one to return
+		// and for the process's open proposition to decide.
+		if len(ps.invokes) > 0 && ps.decision == nil && ps.openBroadcast == model.NoMsg {
+			procs = append(procs, procEvent{EventInvoke, ps.id})
 		}
 	}
-	r.evScratch = out
-	return out
+	v.procs = procs
+	v.filtered = r.stranded
+	if v.filtered {
+		v.live = v.live[:0]
+		for j := range r.network {
+			if to, err := r.proc(r.network[j].to); err == nil && !to.crashed {
+				v.live = append(v.live, j)
+			}
+		}
+	}
+	return v
 }
 
-func (r *Runtime) execEvent(st *runState, e Event) error {
+func (r *Runtime) execEvent(e Event) error {
 	switch e.Kind {
 	case EventExec:
 		_, ok, err := r.ExecNext(e.Proc)
@@ -158,12 +226,16 @@ func (r *Runtime) execEvent(st *runState, e Event) error {
 		_, err := r.ReceiveIndex(e.Net)
 		return err
 	case EventInvoke:
-		q := st.queues[e.Proc]
-		if len(q) == 0 {
+		ps, err := r.proc(e.Proc)
+		if err != nil {
+			return err
+		}
+		if len(ps.invokes) == 0 {
 			return fmt.Errorf("sched: no queued broadcast for %v", e.Proc)
 		}
-		st.queues[e.Proc] = q[1:]
-		_, err := r.InvokeBroadcast(e.Proc, q[0])
+		payload := ps.invokes[0]
+		ps.invokes = ps.invokes[1:]
+		_, err = r.InvokeBroadcast(e.Proc, payload)
 		return err
 	default:
 		return fmt.Errorf("sched: unknown event kind %d", e.Kind)
@@ -172,15 +244,12 @@ func (r *Runtime) execEvent(st *runState, e Event) error {
 
 // quiescentWith reports quiescence including the run's pending
 // upper-layer broadcasts on live processes.
-func (r *Runtime) quiescentWith(st *runState) bool {
+func (r *Runtime) quiescentWith() bool {
 	if !r.Quiescent() {
 		return false
 	}
-	for p, q := range st.queues {
-		if len(q) == 0 {
-			continue
-		}
-		if ps, err := r.proc(p); err == nil && !ps.crashed {
+	for _, ps := range r.procs {
+		if len(ps.invokes) > 0 && !ps.crashed {
 			return false
 		}
 	}
@@ -191,12 +260,27 @@ func (r *Runtime) quiescentWith(st *runState) bool {
 // event bound, a strategy-requested stop, or a live spec violation
 // (returned as *LiveViolationError). Each step the loop applies due
 // crash injections (at the strategy's crash points, see CrashPointer),
-// enumerates the enabled events, and executes the strategy's pick. It
+// shows the strategy the enabled events, and executes its pick. It
 // returns the recorded trace, with Complete set iff the run reached
 // quiescence. Equal (strategy, options) pairs produce bit-identical
 // traces — see the Strategy determinism contract.
 func (r *Runtime) Run(s Strategy, opts RunOptions) (*trace.Trace, error) {
-	st := newRunState(opts)
+	complete, err := r.Drive(s, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.liveError(); err != nil {
+		return nil, err
+	}
+	return &trace.Trace{X: r.Execution(), Complete: complete}, nil
+}
+
+// Drive is Run without the trace: the same loop, stopping at the same
+// step, for a caller that reads the outcome off the runtime instead
+// (LiveViolation, StepCount). It reports whether the run reached
+// quiescence; a live violation ends the run without an error.
+func (r *Runtime) Drive(s Strategy, opts RunOptions) (complete bool, err error) {
+	r.queueBroadcasts(opts.Broadcasts)
 	s.Begin(r, opts)
 	cp, gated := s.(CrashPointer)
 	crashes := newCrashSchedule(opts.CrashAt)
@@ -204,31 +288,32 @@ func (r *Runtime) Run(s Strategy, opts RunOptions) (*trace.Trace, error) {
 	for count < opts.maxEvents() {
 		if crashes.pending() && (!gated || cp.AtCrashPoint()) {
 			if err := crashes.apply(r, count); err != nil {
-				return nil, err
+				return false, err
 			}
 		}
-		enabled := r.enabledEvents(st)
-		if len(enabled) == 0 {
+		enabled := r.enabled()
+		n := enabled.Len()
+		if n == 0 {
 			break
 		}
 		pick := s.Next(enabled, count)
 		if pick == StopRun {
 			break
 		}
-		if pick < 0 || pick >= len(enabled) {
-			return nil, fmt.Errorf("sched: strategy %s picked %d of %d enabled events", s.Name(), pick, len(enabled))
+		if pick < 0 || pick >= n {
+			return false, fmt.Errorf("sched: strategy %s picked %d of %d enabled events", s.Name(), pick, n)
 		}
-		if err := r.execEvent(st, enabled[pick]); err != nil {
-			return nil, err
+		if err := r.execEvent(enabled.At(pick)); err != nil {
+			return false, err
 		}
 		count++
-		if err := r.liveError(); err != nil {
+		if v, _ := r.LiveViolation(); v != nil {
 			r.met.dispatched(count)
-			return nil, err
+			return false, nil
 		}
 	}
 	r.met.dispatched(count)
-	return &trace.Trace{X: r.Execution(), Complete: r.quiescentWith(st)}, nil
+	return r.quiescentWith(), nil
 }
 
 // RunRandom drives the runtime with a uniformly random (seeded,

@@ -247,6 +247,9 @@ type procState struct {
 	openBroadcast model.MsgID
 	// appDecided tracks the one-shot output of the app.
 	appDecided bool
+	// invokes holds the current run's not yet invoked upper-layer
+	// broadcasts (RunOptions.Broadcasts), in invocation order.
+	invokes []model.Payload
 }
 
 // queued returns the number of actions in the process's queue.
@@ -320,10 +323,13 @@ type Runtime struct {
 	// mon checks LiveSpecs incrementally as steps are recorded and
 	// latches the first violation; nil when no live specs are configured.
 	mon *spec.Monitor
-	// evScratch backs enabledEvents: enumeration runs once per scheduled
-	// step, so the slice is reused across steps instead of allocated
-	// fresh (strategies must not retain it — see the Strategy contract).
-	evScratch []Event
+	// view is the run loop's view of the enabled events, refreshed before
+	// every decision.
+	view Enabled
+	// stranded is set once an in-flight message can be undeliverable: a
+	// process crashed, or a send named no process of the system. Until
+	// then every in-flight message is an enabled receive.
+	stranded bool
 }
 
 // New builds a runtime. It returns an error on invalid configuration.
@@ -334,28 +340,51 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.NewAutomaton == nil {
 		return nil, fmt.Errorf("sched: NewAutomaton is required")
 	}
-	if cfg.Oracle == nil {
-		cfg.Oracle = NewFreeOracle(1)
-	}
 	r := &Runtime{
-		cfg:     cfg,
-		x:       model.NewExecution(cfg.N),
-		procs:   make([]*procState, cfg.N),
-		nextMsg: 1,
-		met:     newSchedMetrics(cfg.Obs),
+		cfg:   cfg,
+		procs: make([]*procState, cfg.N),
+		met:   newSchedMetrics(cfg.Obs),
 	}
-	if len(cfg.LiveSpecs) > 0 {
+	r.view.rt = r
+	for i := range r.procs {
+		r.procs[i] = &procState{id: model.ProcID(i + 1)}
+	}
+	r.Reset(cfg.Oracle)
+	return r, nil
+}
+
+// Reset puts the runtime back in the state New builds from its Config,
+// with oracle as the k-SA oracle (nil selects NewFreeOracle(1), as in
+// New): fresh automata and apps, a fresh live monitor, an empty
+// execution and network. It keeps the buffers earlier runs grew — the
+// step log's chunks, the action queues, the in-flight list and the
+// enabled view — so a runtime reset before each of many short runs stops
+// allocating them. What the runtime returned before Reset (traces,
+// executions, violations, the old LiveMonitor) is left as it was.
+func (r *Runtime) Reset(oracle Oracle) {
+	if oracle == nil {
+		oracle = NewFreeOracle(1)
+	}
+	r.cfg.Oracle = oracle
+	r.buf.Reset()
+	r.x = model.NewExecution(r.cfg.N)
+	r.network = r.network[:0]
+	r.nextMsg = 1
+	r.stranded = false
+	r.mon = nil
+	if len(r.cfg.LiveSpecs) > 0 {
 		// Built before the init loop below: app initialization records
 		// Propose steps, which the live checkers must see too.
-		r.mon = spec.NewMonitor(cfg.N, cfg.LiveSpecs...)
+		r.mon = spec.NewMonitor(r.cfg.N, r.cfg.LiveSpecs...)
 	}
-	for i := 0; i < cfg.N; i++ {
-		id := model.ProcID(i + 1)
-		ps := &procState{id: id, automaton: cfg.NewAutomaton(id)}
-		if cfg.NewApp != nil {
-			ps.app = cfg.NewApp(id)
+	for _, ps := range r.procs {
+		*ps = procState{
+			id: ps.id, automaton: r.cfg.NewAutomaton(ps.id),
+			pending: ps.pending[:0], invokes: ps.invokes[:0],
 		}
-		r.procs[i] = ps
+		if r.cfg.NewApp != nil {
+			ps.app = r.cfg.NewApp(ps.id)
+		}
 	}
 	for _, ps := range r.procs {
 		r.runAutomaton(ps, func(env *Env) { ps.automaton.Init(env) })
@@ -364,14 +393,15 @@ func New(cfg Config) (*Runtime, error) {
 		if ps.app == nil {
 			continue
 		}
-		input := model.Value(fmt.Sprintf("input-%d", ps.id))
-		if int(ps.id)-1 < len(cfg.Inputs) {
-			input = cfg.Inputs[ps.id-1]
+		var input model.Value
+		if int(ps.id)-1 < len(r.cfg.Inputs) {
+			input = r.cfg.Inputs[ps.id-1]
+		} else {
+			input = model.Value(fmt.Sprintf("input-%d", ps.id))
 		}
 		r.record(model.Step{Proc: ps.id, Kind: model.KindPropose, Obj: DefaultAppObject, Val: input})
 		ps.app.Init(&appEnv{rt: r, ps: ps}, input)
 	}
-	return r, nil
 }
 
 // Execution returns the execution recorded so far. Callers must not

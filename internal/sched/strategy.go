@@ -75,19 +75,19 @@ func (e Event) String() string {
 const StopRun = -1
 
 // Strategy picks the next event of a run. The run loop (Runtime.Run)
-// calls Begin once, then Next once per step with the non-empty slice of
-// currently enabled events; Next returns the index of the event to
+// calls Begin once, then Next once per step with the non-empty view of
+// the currently enabled events; Next returns the index of the event to
 // execute, or StopRun to end the run at the current prefix.
 //
 // Determinism contract: a Strategy must be a pure function of (a) the
 // RunOptions it saw at Begin — in particular all randomness must come
 // from a generator seeded by opts.Seed — and (b) the sequence of enabled
-// sets it has been shown. It must not retain the enabled slice across
-// calls (the run loop reuses its backing array), must not consult wall
-// clocks, global generators, or map iteration order, and must not mutate
-// the runtime. Replays with equal seeds then produce bit-identical
-// traces, which Lemma 9's indistinguishability machinery and the
-// explore/sweep fan-out both rely on.
+// sets it has been shown. It must not retain the view across calls (the
+// next step changes it), must not consult wall clocks, global
+// generators, or map iteration order, and must not mutate the runtime.
+// Replays with equal seeds then produce bit-identical traces, which
+// Lemma 9's indistinguishability machinery and the explore/sweep fan-out
+// both rely on.
 type Strategy interface {
 	// Name identifies the strategy ("fair", "random", "pct", ...).
 	Name() string
@@ -98,7 +98,7 @@ type Strategy interface {
 	// Next returns the index into enabled of the event to execute at
 	// step (0-based count of executed events), or StopRun. enabled is
 	// non-empty and must not be retained.
-	Next(enabled []Event, step int) int
+	Next(enabled *Enabled, step int) int
 }
 
 // CrashPointer is optionally implemented by strategies whose schedules
@@ -148,29 +148,7 @@ func (s *fairStrategy) Begin(rt *Runtime, opts RunOptions) {
 	*s = fairStrategy{rt: rt, n: rt.cfg.N, p: 1}
 }
 
-// find returns the index of the first enabled event of the given kind by
-// the given process, or -1.
-func find(enabled []Event, kind EventKind, p model.ProcID) int {
-	for i, e := range enabled {
-		if e.Kind == kind && e.Proc == p {
-			return i
-		}
-	}
-	return -1
-}
-
-// findNet returns the index of the enabled receive event for in-flight
-// queue position net, or -1 (the message targets a crashed process).
-func findNet(enabled []Event, net int) int {
-	for i, e := range enabled {
-		if e.Kind == EventReceive && e.Net == net {
-			return i
-		}
-	}
-	return -1
-}
-
-func (s *fairStrategy) Next(enabled []Event, step int) int {
+func (s *fairStrategy) Next(enabled *Enabled, step int) int {
 	// Two sweeps: the first covers the remaining slots of the current
 	// round plus its delivery phase; after wrapping, the second covers a
 	// full fresh round. A non-empty enabled set guarantees a pick within
@@ -179,16 +157,16 @@ func (s *fairStrategy) Next(enabled []Event, step int) int {
 		for !s.deliver && s.p <= s.n {
 			pid := model.ProcID(s.p)
 			if !s.invoked {
-				if i := find(enabled, EventInvoke, pid); i >= 0 {
+				if i := enabled.find(EventInvoke, pid); i >= 0 {
 					s.invoked = true
 					return i
 				}
 			}
 			// The slot's one action: a pending decision fires, else the
 			// next queued action executes. Either way the slot ends.
-			i := find(enabled, EventDecide, pid)
+			i := enabled.find(EventDecide, pid)
 			if i < 0 {
-				i = find(enabled, EventExec, pid)
+				i = enabled.find(EventExec, pid)
 			}
 			s.p++
 			s.invoked = false
@@ -204,7 +182,7 @@ func (s *fairStrategy) Next(enabled []Event, step int) int {
 			s.skip = 0
 		}
 		for s.budget > 0 {
-			if i := findNet(enabled, s.skip); i >= 0 {
+			if i := enabled.receive(s.skip); i >= 0 {
 				s.budget--
 				return i
 			}
@@ -251,8 +229,8 @@ func (s *randomStrategy) Begin(rt *Runtime, opts RunOptions) {
 	s.src = rng.New(opts.Seed)
 }
 
-func (s *randomStrategy) Next(enabled []Event, step int) int {
-	return s.src.Intn(len(enabled))
+func (s *randomStrategy) Next(enabled *Enabled, step int) int {
+	return s.src.Intn(enabled.Len())
 }
 
 // DefaultPCTDepth is the number of priority change points a PCT strategy
@@ -330,24 +308,24 @@ func (s *pctStrategy) priority(ent pctEntity) uint64 {
 	return p
 }
 
-func (s *pctStrategy) pick(enabled []Event) int {
+func (s *pctStrategy) pick(enabled *Enabled) int {
 	best, bestP := 0, uint64(0)
-	for i, e := range enabled {
-		if p := s.priority(eventEntity(e)); i == 0 || p > bestP {
+	for i, n := 0, enabled.Len(); i < n; i++ {
+		if p := s.priority(eventEntity(enabled.At(i))); i == 0 || p > bestP {
 			best, bestP = i, p
 		}
 	}
 	return best
 }
 
-func (s *pctStrategy) Next(enabled []Event, step int) int {
+func (s *pctStrategy) Next(enabled *Enabled, step int) int {
 	best := s.pick(enabled)
 	if s.change[step] {
 		// Change point: demote the entity about to run below every
 		// initial priority and schedule under the new order. Demotions
 		// keep their relative age (0, 1, 2, ...), as in the original
 		// algorithm.
-		s.prio[eventEntity(enabled[best])] = s.demoted
+		s.prio[eventEntity(enabled.At(best))] = s.demoted
 		s.demoted++
 		best = s.pick(enabled)
 	}
@@ -387,17 +365,16 @@ func (s *replayStrategy) Begin(rt *Runtime, opts RunOptions) { s.cursor = 0 }
 // replay); otherwise the oldest same-(receiver, sender) message stands
 // in — MsgIDs are allocated in execution order, so dropping an earlier
 // event renumbers every later message and exact-id-only matching would
-// make every minimization candidate vacuous.
-func match(enabled []Event, d Event) int {
+// make every minimization candidate vacuous. Process events precede the
+// receives in the view, so each kind of decision scans only its part.
+func match(enabled *Enabled, d Event) int {
+	if d.Kind != EventReceive {
+		return enabled.find(d.Kind, d.Proc)
+	}
 	fallback := -1
-	for i, e := range enabled {
-		if e.Kind != d.Kind || e.Proc != d.Proc {
-			continue
-		}
-		if d.Kind != EventReceive {
-			return i
-		}
-		if e.From != d.From {
+	for i, n := len(enabled.procs), enabled.Len(); i < n; i++ {
+		e := enabled.At(i)
+		if e.Proc != d.Proc || e.From != d.From {
 			continue
 		}
 		if e.Msg == d.Msg {
@@ -410,7 +387,7 @@ func match(enabled []Event, d Event) int {
 	return fallback
 }
 
-func (s *replayStrategy) Next(enabled []Event, step int) int {
+func (s *replayStrategy) Next(enabled *Enabled, step int) int {
 	for s.cursor < len(s.decisions) {
 		d := s.decisions[s.cursor]
 		s.cursor++
@@ -443,10 +420,10 @@ func (r *Recorder) Begin(rt *Runtime, opts RunOptions) {
 }
 
 // Next implements Strategy.
-func (r *Recorder) Next(enabled []Event, step int) int {
+func (r *Recorder) Next(enabled *Enabled, step int) int {
 	i := r.inner.Next(enabled, step)
-	if i >= 0 && i < len(enabled) {
-		r.decisions = append(r.decisions, enabled[i])
+	if i >= 0 && i < enabled.Len() {
+		r.decisions = append(r.decisions, enabled.At(i))
 	}
 	return i
 }

@@ -251,23 +251,63 @@ func (c *channelsChecker) finish(complete bool) *Violation {
 // k-SA-Termination at finish.
 type ksaChecker struct {
 	crashTracker
-	k              int
-	name           string
-	proposed       map[model.KSAID]map[model.ProcID]model.Value
-	valuesProposed map[model.KSAID]map[model.Value]bool
-	decided        map[model.KSAID]map[model.ProcID]model.Value
-	distinct       map[model.KSAID]map[model.Value]bool
+	k    int
+	name string
+	objs map[model.KSAID]*ksaObject
+}
+
+// The bits a ksaObject keeps per process and per value.
+const (
+	ksaProposed uint8 = 1 << iota
+	ksaDecided
+)
+
+// ksaObject is ksaChecker's record of one k-SA object, made at its first
+// proposal: who proposed and who decided on it, indexed by process, and
+// which values were proposed and decided, so that a step costs O(1)
+// whatever the number of processes.
+type ksaObject struct {
+	// procs[p-1] holds the bits of process p of p1..p_ksaDense; others
+	// holds those of any other id: a process of a larger system, or an
+	// id outside p1..pn, which only a malformed trace names.
+	procs    []uint8
+	others   map[model.ProcID]uint8
+	values   map[model.Value]uint8
+	distinct int // the number of distinct values decided
+}
+
+// ksaDense bounds the processes a ksaObject indexes densely. A record
+// then costs O(1) beyond the proposals it holds, even for an uploaded
+// trace that declares thousands of processes and proposes once on each
+// of many objects.
+const ksaDense = 64
+
+// bits returns process p's bits on the object.
+func (o *ksaObject) bits(p model.ProcID) uint8 {
+	if i := int(p) - 1; i >= 0 && i < len(o.procs) {
+		return o.procs[i]
+	}
+	return o.others[p]
+}
+
+// set adds bits b to process p's.
+func (o *ksaObject) set(p model.ProcID, b uint8) {
+	if i := int(p) - 1; i >= 0 && i < len(o.procs) {
+		o.procs[i] |= b
+		return
+	}
+	if o.others == nil {
+		o.others = make(map[model.ProcID]uint8)
+	}
+	o.others[p] |= b
 }
 
 func newKSAChecker(n, k int, name string) *ksaChecker {
 	return &ksaChecker{
-		crashTracker:   newCrashTracker(n),
-		k:              k,
-		name:           name,
-		proposed:       make(map[model.KSAID]map[model.ProcID]model.Value),
-		valuesProposed: make(map[model.KSAID]map[model.Value]bool),
-		decided:        make(map[model.KSAID]map[model.ProcID]model.Value),
-		distinct:       make(map[model.KSAID]map[model.Value]bool),
+		crashTracker: newCrashTracker(n),
+		k:            k,
+		name:         name,
+		objs:         make(map[model.KSAID]*ksaObject),
 	}
 }
 
@@ -275,61 +315,73 @@ func (c *ksaChecker) feed(i int, s *model.Step) *Violation {
 	c.observe(s)
 	switch s.Kind {
 	case model.KindPropose:
-		pm := c.proposed[s.Obj]
-		if pm == nil {
-			pm = make(map[model.ProcID]model.Value)
-			c.proposed[s.Obj] = pm
-			c.valuesProposed[s.Obj] = make(map[model.Value]bool)
+		o := c.objs[s.Obj]
+		if o == nil {
+			o = &ksaObject{procs: make([]uint8, min(c.n, ksaDense)), values: make(map[model.Value]uint8)}
+			c.objs[s.Obj] = o
 		}
-		if _, dup := pm[s.Proc]; dup {
+		if o.bits(s.Proc)&ksaProposed != 0 {
 			return &Violation{Spec: c.name, Property: "One-Shot",
 				Detail: fmt.Sprintf("%v proposes twice on %v", s.Proc, s.Obj), StepIdx: i}
 		}
-		pm[s.Proc] = s.Val
-		c.valuesProposed[s.Obj][s.Val] = true
+		o.set(s.Proc, ksaProposed)
+		o.values[s.Val] |= ksaProposed
 	case model.KindDecide:
-		if _, ok := c.proposed[s.Obj][s.Proc]; !ok {
+		o := c.objs[s.Obj]
+		if o == nil || o.bits(s.Proc)&ksaProposed == 0 {
 			return &Violation{Spec: c.name, Property: "k-SA-Validity",
 				Detail: fmt.Sprintf("%v decides on %v without proposing", s.Proc, s.Obj), StepIdx: i}
 		}
-		if !c.valuesProposed[s.Obj][s.Val] {
+		vb := o.values[s.Val]
+		if vb&ksaProposed == 0 {
 			return &Violation{Spec: c.name, Property: "k-SA-Validity",
 				Detail: fmt.Sprintf("%v decides %q on %v, never proposed", s.Proc, s.Val, s.Obj), StepIdx: i}
 		}
-		dm := c.decided[s.Obj]
-		if dm == nil {
-			dm = make(map[model.ProcID]model.Value)
-			c.decided[s.Obj] = dm
-			c.distinct[s.Obj] = make(map[model.Value]bool)
-		}
-		if _, dup := dm[s.Proc]; dup {
+		if o.bits(s.Proc)&ksaDecided != 0 {
 			return &Violation{Spec: c.name, Property: "One-Shot",
 				Detail: fmt.Sprintf("%v decides twice on %v", s.Proc, s.Obj), StepIdx: i}
 		}
-		dm[s.Proc] = s.Val
-		c.distinct[s.Obj][s.Val] = true
-		if len(c.distinct[s.Obj]) > c.k {
+		o.set(s.Proc, ksaDecided)
+		if vb&ksaDecided == 0 {
+			o.values[s.Val] = vb | ksaDecided
+			o.distinct++
+		}
+		if o.distinct > c.k {
 			return &Violation{Spec: c.name, Property: "k-SA-Agreement",
-				Detail: fmt.Sprintf("%d distinct values decided on %v, at most %d allowed", len(c.distinct[s.Obj]), s.Obj, c.k), StepIdx: i}
+				Detail: fmt.Sprintf("%d distinct values decided on %v, at most %d allowed", o.distinct, s.Obj, c.k), StepIdx: i}
 		}
 	}
 	return nil
 }
 
+// finish names the lowest object, then the lowest process: the dense
+// processes come first, and every correct id in others is above them.
 func (c *ksaChecker) finish(complete bool) *Violation {
 	if !complete {
 		return nil
 	}
-	for _, obj := range sortedKeys(c.proposed) {
-		for _, p := range sortedKeys(c.proposed[obj]) {
-			if !c.correct(p) {
-				continue
+	for _, obj := range sortedKeys(c.objs) {
+		o := c.objs[obj]
+		for i, b := range o.procs {
+			if v := c.undecided(obj, model.ProcID(i+1), b); v != nil {
+				return v
 			}
-			if _, ok := c.decided[obj][p]; !ok {
-				return &Violation{Spec: c.name, Property: "k-SA-Termination",
-					Detail: fmt.Sprintf("correct %v proposed on %v but never decides", p, obj), StepIdx: -1}
+		}
+		for _, p := range sortedKeys(o.others) {
+			if v := c.undecided(obj, p, o.others[p]); v != nil {
+				return v
 			}
 		}
 	}
 	return nil
+}
+
+// undecided returns the k-SA-Termination violation of process p on obj,
+// given p's bits there, or nil.
+func (c *ksaChecker) undecided(obj model.KSAID, p model.ProcID, b uint8) *Violation {
+	if b&ksaProposed == 0 || b&ksaDecided != 0 || !c.correct(p) {
+		return nil
+	}
+	return &Violation{Spec: c.name, Property: "k-SA-Termination",
+		Detail: fmt.Sprintf("correct %v proposed on %v but never decides", p, obj), StepIdx: -1}
 }
