@@ -1,5 +1,5 @@
 # Convenience targets for the reproduction artifact.
-.PHONY: all test race bench-all fuzz-smoke figure1 impossibility outputs metrics-smoke serve-smoke load-smoke fabric-smoke socket-smoke profile-feed profile-hunt
+.PHONY: all test race bench-all fuzz-smoke figure1 impossibility outputs metrics-smoke serve-smoke load-smoke fabric-smoke socket-smoke profile-feed profile-hunt profile-check
 all: test
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -128,6 +128,15 @@ profile-hunt:
 	go test -run '^$$' -bench 'BenchmarkExploreHunt$$' -benchtime 150x -cpu 1 -benchmem \
 	  -cpuprofile /tmp/hunt.pprof -o /tmp/explore.test ./internal/explore
 	@echo "profile written to /tmp/hunt.pprof (binary /tmp/explore.test)"
+
+# profile-check: CPU profile of 2,000 /v1/check runs (runCheck, spec=all,
+# k=2) on the daemon workload's upload (total-order, n=4, 62 uniform
+# broadcasts, fair schedule), the path ksabench's daemon check ops time:
+#   go tool pprof -top /tmp/serve.test /tmp/check.pprof
+profile-check:
+	go test -run '^$$' -bench 'BenchmarkCheckUpload$$' -benchtime 2000x -benchmem \
+	  -cpuprofile /tmp/check.pprof -o /tmp/serve.test ./internal/serve
+	@echo "profile written to /tmp/check.pprof (binary /tmp/serve.test)"
 
 # fuzz-smoke: a short budgeted run of every fuzz target — enough to catch
 # an outright decoder regression on the seed-adjacent frontier without

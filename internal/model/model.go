@@ -90,7 +90,10 @@ const (
 	KindCrash                               // p crashes (takes no further step)
 )
 
-var stepKindNames = map[StepKind]string{
+// stepKindNames is indexed by kind; the kinds are numbered 1..KindCrash
+// without gaps, so a range check is Valid and an index is String. Both run
+// for every step a decoder reads.
+var stepKindNames = [...]string{
 	KindSend:            "send",
 	KindReceive:         "receive",
 	KindBroadcastInvoke: "broadcast",
@@ -104,17 +107,14 @@ var stepKindNames = map[StepKind]string{
 
 // String returns the lower-case name of the kind.
 func (k StepKind) String() string {
-	if s, ok := stepKindNames[k]; ok {
-		return s
+	if k.Valid() {
+		return stepKindNames[k]
 	}
 	return fmt.Sprintf("StepKind(%d)", int(k))
 }
 
 // Valid reports whether k is one of the declared kinds.
-func (k StepKind) Valid() bool {
-	_, ok := stepKindNames[k]
-	return ok
-}
+func (k StepKind) Valid() bool { return k >= KindSend && k <= KindCrash }
 
 // Step is one element of an execution: a pair <p_i : a> of a process and an
 // action. The fields that are meaningful depend on Kind:

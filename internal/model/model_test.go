@@ -69,7 +69,7 @@ func TestStepKindString(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if StepKind(0).Valid() || StepKind(99).Valid() {
+	if StepKind(0).Valid() || StepKind(99).Valid() || StepKind(-1).Valid() || (KindCrash + 1).Valid() {
 		t.Error("invalid kinds reported valid")
 	}
 	if got := StepKind(99).String(); got != "StepKind(99)" {

@@ -41,8 +41,10 @@ const firstChunkCap = 32
 // boundaries with the buffer's chunk boundaries.
 const ChunkSteps = chunkSize
 
-// Append adds one step at the end of the buffer.
-func (b *StepBuffer) Append(s Step) {
+// Append adds one step at the end of the buffer and returns a pointer to
+// the stored copy. The pointer is valid until the next Append or Reset,
+// which may move the first chunk.
+func (b *StepBuffer) Append(s Step) *Step {
 	c := b.n / chunkSize
 	switch {
 	case c == len(b.chunks):
@@ -59,6 +61,7 @@ func (b *StepBuffer) Append(s Step) {
 	}
 	b.chunks[c] = append(b.chunks[c], s)
 	b.n++
+	return &b.chunks[c][len(b.chunks[c])-1]
 }
 
 // Reset empties the buffer and keeps its chunks for the steps appended

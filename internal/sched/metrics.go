@@ -47,14 +47,14 @@ func newSchedMetrics(reg *obs.Registry) *schedMetrics {
 	return m
 }
 
-// record counts one recorded step.
-func (m *schedMetrics) record(s model.Step) {
+// record counts one recorded step of kind k.
+func (m *schedMetrics) record(k model.StepKind) {
 	if m == nil {
 		return
 	}
 	m.steps.Inc()
-	if k := int(s.Kind); k > 0 && k < len(m.kinds) {
-		m.kinds[s.Kind].Inc()
+	if k > 0 && int(k) < len(m.kinds) {
+		m.kinds[k].Inc()
 	}
 }
 

@@ -420,13 +420,13 @@ func (r *Runtime) Execution() *model.Execution {
 func (r *Runtime) StepCount() int { return r.buf.Len() }
 
 // record appends a step to the execution and counts it. With live specs
-// configured, the step is also fed to their incremental checkers, whose
-// monitor latches the first violation.
+// configured, the step the log just stored is also fed, in place, to
+// their incremental checkers, whose monitor latches the first violation.
 func (r *Runtime) record(s model.Step) {
-	r.buf.Append(s)
-	r.met.record(s)
+	stored := r.buf.Append(s)
+	r.met.record(s.Kind)
 	if r.mon != nil {
-		r.mon.Feed(s)
+		r.mon.FeedStep(stored)
 	}
 }
 

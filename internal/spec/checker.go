@@ -51,12 +51,41 @@ type leaf struct {
 
 // leafChecker is a leaf's online checker. feed consumes step i of the
 // execution and returns a violation as soon as one exists; s is valid
-// only during the call. finish evaluates the end-of-trace clauses. The
-// Monitor owns the latch: it stops feeding a leaf once feed has returned a
-// violation, and calls finish at most once, only on a leaf that has not.
+// only during the call. slot is the Monitor's number for s.Msg in the
+// namespace of s's kind (see idTable; -1 for a kind that names no
+// message), so a leaf indexes its per-message state by slot and never
+// looks an id up itself. kinds is the set of step kinds feed reads: on a
+// step of any other kind feed would change nothing and return nil, so the
+// Monitor does not call it. finish evaluates the end-of-trace clauses.
+// The Monitor owns the latch: it stops feeding a leaf once feed has
+// returned a violation, and calls finish at most once, only on a leaf
+// that has not.
 type leafChecker interface {
-	feed(i int, s *model.Step) *Violation
+	feed(i int, s *model.Step, slot int) *Violation
+	kinds() kindSet
 	finish(complete bool) *Violation
+}
+
+// kindSet is a set of step kinds: bit k for each valid kind k, and bit 0
+// for every invalid one.
+type kindSet uint16
+
+// allKinds holds every kind, invalid ones included.
+const allKinds = ^kindSet(0)
+
+func kindsOf(ks ...model.StepKind) kindSet {
+	var set kindSet
+	for _, k := range ks {
+		set |= kindBit(k)
+	}
+	return set
+}
+
+func kindBit(k model.StepKind) kindSet {
+	if !k.Valid() {
+		return 1
+	}
+	return 1 << k
 }
 
 // safety is embedded by the leaves that have no end-of-trace clause.
@@ -112,16 +141,19 @@ type SpecVerdict struct {
 
 // Monitor checks several specifications over one step stream. It is the
 // unit the runtimes embed for live checking, and a Monitor of one spec is
-// that spec's Checker. It keeps one slot per distinct leaf of its specs,
-// feeds each leaf every step until that leaf latches, and derives each
-// spec's verdict from its leaves' slots: the leaf violated at the earliest
-// step, the first declared on a tie; failing that, the first declared
-// leaf violated at Finish. Feed returns the overall first violation (nil
-// until one occurs), so callers can fail fast while the monitor keeps
-// collecting verdicts for the remaining specs.
+// that spec's Checker. It keeps one entry per distinct leaf of its specs,
+// feeds each leaf every step of a kind it reads until that leaf latches,
+// and derives each spec's verdict from its leaves' entries: the leaf
+// violated at the earliest step, the first declared on a tie; failing
+// that, the first declared leaf violated at Finish. It also numbers every
+// message id once (its idTable) and hands each leaf the step's slot. Feed
+// returns the overall first violation (nil until one occurs), so callers
+// can fail fast while the monitor keeps collecting verdicts for the
+// remaining specs.
 type Monitor struct {
-	step     model.Step // the step being fed; leaves get a pointer to it
+	step     model.Step // the step Feed copied; leaves get a pointer to it
 	steps    int
+	ids      idTable
 	leaves   []monLeaf
 	specs    []monSpec
 	first    *Violation
@@ -131,13 +163,14 @@ type Monitor struct {
 
 // monLeaf is one distinct leaf's checker and latched verdict.
 type monLeaf struct {
-	key string
-	ck  leafChecker
-	v   *Violation
-	idx int // the step that latched v, -1 when v latched at Finish or is nil
+	key   string
+	ck    leafChecker
+	kinds kindSet // ck.kinds()
+	v     *Violation
+	idx   int // the step that latched v, -1 when v latched at Finish or is nil
 }
 
-// monSpec is one monitored spec: its leaves' slots in declaration order.
+// monSpec is one monitored spec: its leaves' entries in declaration order.
 type monSpec struct {
 	name   string
 	leaves []int
@@ -151,25 +184,26 @@ func NewMonitor(n int, specs ...Spec) *Monitor {
 		total += len(s.leaves)
 	}
 	m := &Monitor{firstIdx: -1, leaves: make([]monLeaf, 0, total), specs: make([]monSpec, len(specs))}
-	slots := make([]int, 0, total)
+	entries := make([]int, 0, total)
 	for i, s := range specs {
-		start := len(slots)
+		start := len(entries)
 		for _, l := range s.leaves {
-			slots = append(slots, m.slot(l, n))
+			entries = append(entries, m.entry(l, n))
 		}
-		m.specs[i] = monSpec{name: s.name, leaves: slots[start:]}
+		m.specs[i] = monSpec{name: s.name, leaves: entries[start:]}
 	}
 	return m
 }
 
-// slot returns the index of l's slot, building its checker on first use.
-func (m *Monitor) slot(l leaf, n int) int {
+// entry returns the index of l's entry, building its checker on first use.
+func (m *Monitor) entry(l leaf, n int) int {
 	for j := range m.leaves {
 		if m.leaves[j].key == l.key {
 			return j
 		}
 	}
-	m.leaves = append(m.leaves, monLeaf{key: l.key, ck: l.mk(n), idx: -1})
+	ck := l.mk(n)
+	m.leaves = append(m.leaves, monLeaf{key: l.key, ck: ck, kinds: ck.kinds(), idx: -1})
 	return len(m.leaves) - 1
 }
 
@@ -178,21 +212,27 @@ func (m *Monitor) slot(l leaf, n int) int {
 // monitor; leaves read it through a pointer.
 func (m *Monitor) Feed(s model.Step) *Violation {
 	m.step = s
-	return m.feed(&m.step)
+	return m.FeedStep(&m.step)
 }
 
-// feed is Feed on a step that stays valid for the call; Spec.Check passes
-// the trace's own steps.
-func (m *Monitor) feed(s *model.Step) *Violation {
+// FeedStep is Feed on a step the caller keeps valid for the call, which
+// spares the copy: Spec.Check passes the trace's own steps, the
+// deterministic runtime the step its log just stored, and /v1/check the
+// steps of its decode batch. Neither the Monitor nor its leaves keep the
+// pointer after the call.
+func (m *Monitor) FeedStep(s *model.Step) *Violation {
 	i := m.steps
 	m.steps++
+	slot := m.ids.stepSlot(s)
+	bit := kindBit(s.Kind)
 	latched := false
 	for j := range m.leaves {
 		l := &m.leaves[j]
-		if l.v == nil {
-			if l.v = l.ck.feed(i, s); l.v != nil {
-				l.idx, latched = i, true
-			}
+		if l.v != nil || l.kinds&bit == 0 {
+			continue
+		}
+		if v := l.ck.feed(i, s, slot); v != nil {
+			l.v, l.idx, latched = v, i, true
 		}
 	}
 	if latched && m.first == nil {

@@ -27,7 +27,7 @@ func UniformReliable() Spec {
 // delivered both messages with their own strictly first, which no
 // extension can undo.
 func MutualOrder() Spec {
-	return leafSpec("Mutual-Order", func(int) leafChecker { return newMutualChecker() })
+	return leafSpec("Mutual-Order", func(n int) leafChecker { return newMutualChecker(n) })
 }
 
 // MutualBroadcast composes the mutual order with the universal properties.

@@ -14,53 +14,58 @@ import (
 // tests). Where a finish-time clause is violated in several places, the
 // checker names the lowest message (or object), then the lowest process.
 
-// wellFormedChecker streams the Definition 1 checks.
+// wellFormedChecker streams the Definition 1 checks. A step by a process
+// outside p1..pn latches, so it keeps state for p1..pn only.
 type wellFormedChecker struct {
 	safety
-	n        int
-	crashed  map[model.ProcID]bool
-	inFlight map[model.ProcID]model.MsgID
-	open     map[model.ProcID]bool
+	n     int
+	procs []wfProc // p0..pn, made on first use
+}
+
+type wfProc struct {
+	crashed, open bool
+	inFlight      model.MsgID
 }
 
 func newWellFormedChecker(n int) *wellFormedChecker {
-	return &wellFormedChecker{
-		n:        n,
-		crashed:  make(map[model.ProcID]bool),
-		inFlight: make(map[model.ProcID]model.MsgID),
-		open:     make(map[model.ProcID]bool),
-	}
+	return &wellFormedChecker{n: n}
 }
 
-func (c *wellFormedChecker) feed(i int, s *model.Step) *Violation {
+func (*wellFormedChecker) kinds() kindSet { return allKinds }
+
+func (c *wellFormedChecker) feed(i int, s *model.Step, _ int) *Violation {
 	if s.Proc < 1 || int(s.Proc) > c.n {
 		return &Violation{Spec: "Well-Formed", Property: "Participants",
 			Detail: fmt.Sprintf("step by %v outside p1..p%d", s.Proc, c.n), StepIdx: i}
 	}
-	if c.crashed[s.Proc] {
+	if c.procs == nil {
+		c.procs = make([]wfProc, c.n+1)
+	}
+	ps := &c.procs[s.Proc]
+	if ps.crashed {
 		return &Violation{Spec: "Well-Formed", Property: "Crash-Finality",
 			Detail: fmt.Sprintf("%v takes a step after crashing", s.Proc), StepIdx: i}
 	}
 	switch s.Kind {
 	case model.KindCrash:
-		c.crashed[s.Proc] = true
+		ps.crashed = true
 	case model.KindBroadcastInvoke:
-		if c.open[s.Proc] {
+		if ps.open {
 			return &Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
-				Detail: fmt.Sprintf("%v invokes B.broadcast(m%d) before returning from B.broadcast(m%d)", s.Proc, s.Msg, c.inFlight[s.Proc]), StepIdx: i}
+				Detail: fmt.Sprintf("%v invokes B.broadcast(m%d) before returning from B.broadcast(m%d)", s.Proc, s.Msg, ps.inFlight), StepIdx: i}
 		}
-		c.open[s.Proc] = true
-		c.inFlight[s.Proc] = s.Msg
+		ps.open = true
+		ps.inFlight = s.Msg
 	case model.KindBroadcastReturn:
-		if !c.open[s.Proc] {
+		if !ps.open {
 			return &Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
 				Detail: fmt.Sprintf("%v returns from B.broadcast(m%d) without an open invocation", s.Proc, s.Msg), StepIdx: i}
 		}
-		if c.inFlight[s.Proc] != s.Msg {
+		if ps.inFlight != s.Msg {
 			return &Violation{Spec: "Well-Formed", Property: "Invocation-Alternation",
-				Detail: fmt.Sprintf("%v returns from B.broadcast(m%d), but the open invocation is m%d", s.Proc, s.Msg, c.inFlight[s.Proc]), StepIdx: i}
+				Detail: fmt.Sprintf("%v returns from B.broadcast(m%d), but the open invocation is m%d", s.Proc, s.Msg, ps.inFlight), StepIdx: i}
 		}
-		c.open[s.Proc] = false
+		ps.open = false
 	}
 	return nil
 }
@@ -69,28 +74,45 @@ func (c *wellFormedChecker) feed(i int, s *model.Step) *Violation {
 // processes p1..pn that have not crashed.
 type crashTracker struct {
 	n       int
-	crashed map[model.ProcID]bool
+	crashed []bool // p0..pn, made on the first crash
 }
 
 func newCrashTracker(n int) crashTracker {
-	return crashTracker{n: n, crashed: make(map[model.ProcID]bool)}
+	return crashTracker{n: n}
 }
 
 func (c *crashTracker) observe(s *model.Step) {
-	if s.Kind == model.KindCrash {
+	if s.Kind == model.KindCrash && s.Proc >= 1 && int(s.Proc) <= c.n {
+		if c.crashed == nil {
+			c.crashed = make([]bool, c.n+1)
+		}
 		c.crashed[s.Proc] = true
 	}
 }
 
 func (c *crashTracker) correct(p model.ProcID) bool {
-	return p >= 1 && int(p) <= c.n && !c.crashed[p]
+	return p >= 1 && int(p) <= c.n && (c.crashed == nil || !c.crashed[p])
 }
 
-// basicBcast is the retained per-message broadcast summary of
-// basicChecker (the streaming replacement for Index.Broadcasts).
-type basicBcast struct {
+// undelivered returns the lowest correct process that is not in slot's
+// delivered set, 0 when there is none.
+func (c *crashTracker) undelivered(d *procSets, slot int) model.ProcID {
+	for p := model.ProcID(1); int(p) <= c.n; p++ {
+		if c.correct(p) && !d.has(slot, p) {
+			return p
+		}
+	}
+	return 0
+}
+
+// basicMsg is basicChecker's record of one broadcast message, made at its
+// invocation (the streaming replacement for Index.Broadcasts).
+type basicMsg struct {
+	m        model.MsgID
+	payload  model.Payload
 	from     model.ProcID
 	stepIdx  int
+	known    bool
 	returned bool
 }
 
@@ -98,37 +120,43 @@ type basicBcast struct {
 // the two termination clauses at finish.
 type basicChecker struct {
 	crashTracker
-	bcasts    map[model.MsgID]*basicBcast
-	payloadAt map[model.MsgID]model.Payload
-	delivered map[model.ProcID]map[model.MsgID]bool
+	msgs      []basicMsg // by slot
+	delivered procSets   // who B-delivered each message
 }
 
 func newBasicChecker(n int) *basicChecker {
-	return &basicChecker{
-		crashTracker: newCrashTracker(n),
-		bcasts:       make(map[model.MsgID]*basicBcast),
-		payloadAt:    make(map[model.MsgID]model.Payload),
-		delivered:    make(map[model.ProcID]map[model.MsgID]bool),
-	}
+	return &basicChecker{crashTracker: newCrashTracker(n)}
 }
 
-func (c *basicChecker) feed(i int, s *model.Step) *Violation {
+// msg returns slot's record, nil when the message was never broadcast.
+func (c *basicChecker) msg(slot int) *basicMsg {
+	if slot < len(c.msgs) && c.msgs[slot].known {
+		return &c.msgs[slot]
+	}
+	return nil
+}
+
+func (*basicChecker) kinds() kindSet {
+	return kindsOf(model.KindBroadcastInvoke, model.KindBroadcastReturn, model.KindDeliver, model.KindCrash)
+}
+
+func (c *basicChecker) feed(i int, s *model.Step, slot int) *Violation {
 	c.observe(s)
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
-		if info, dup := c.bcasts[s.Msg]; dup {
+		if info := c.msg(slot); info != nil {
 			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
 				Detail: fmt.Sprintf("message m%d broadcast twice (by %v and %v); broadcast messages are unique", s.Msg, info.from, s.Proc), StepIdx: i}
 		}
-		c.bcasts[s.Msg] = &basicBcast{from: s.Proc, stepIdx: i}
-		c.payloadAt[s.Msg] = s.Payload
+		c.msgs = growTo(c.msgs, slot)
+		c.msgs[slot] = basicMsg{m: s.Msg, payload: s.Payload, from: s.Proc, stepIdx: i, known: true}
 	case model.KindBroadcastReturn:
-		if info, ok := c.bcasts[s.Msg]; ok {
+		if info := c.msg(slot); info != nil {
 			info.returned = true
 		}
 	case model.KindDeliver:
-		info, ok := c.bcasts[s.Msg]
-		if !ok {
+		info := c.msg(slot)
+		if info == nil {
 			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
 				Detail: fmt.Sprintf("%v B-delivers m%d from %v, never broadcast", s.Proc, s.Msg, s.Peer), StepIdx: i}
 		}
@@ -136,50 +164,50 @@ func (c *basicChecker) feed(i int, s *model.Step) *Violation {
 			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
 				Detail: fmt.Sprintf("%v B-delivers m%d from %v, but m%d was broadcast by %v", s.Proc, s.Msg, s.Peer, s.Msg, info.from), StepIdx: i}
 		}
-		if got, want := s.Payload, c.payloadAt[s.Msg]; got != want {
+		if got, want := s.Payload, info.payload; got != want {
 			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Validity",
 				Detail: fmt.Sprintf("%v B-delivers m%d with content %q, broadcast with %q", s.Proc, s.Msg, got, want), StepIdx: i}
 		}
-		dm := c.delivered[s.Proc]
-		if dm == nil {
-			dm = make(map[model.MsgID]bool)
-			c.delivered[s.Proc] = dm
-		}
-		if dm[s.Msg] {
+		if c.delivered.has(slot, s.Proc) {
 			return &Violation{Spec: "Basic-Broadcast", Property: "BC-No-Duplication",
 				Detail: fmt.Sprintf("%v B-delivers m%d twice", s.Proc, s.Msg), StepIdx: i}
 		}
-		dm[s.Msg] = true
+		c.delivered.add(slot, s.Proc)
 	}
 	return nil
 }
 
+// finish names the lowest message a clause fails for, then the lowest
+// process: one pass over the slots keeps the lowest id that fails.
 func (c *basicChecker) finish(complete bool) *Violation {
 	if !complete {
 		return nil
 	}
-	msgs := sortedKeys(c.bcasts)
-	for _, m := range msgs {
-		if info := c.bcasts[m]; c.correct(info.from) && !info.returned {
-			return &Violation{Spec: "Basic-Broadcast", Property: "BC-Local-Termination",
-				Detail: fmt.Sprintf("correct %v never returns from B.broadcast(m%d)", info.from, m), StepIdx: info.stepIdx}
+	var unreturned *basicMsg
+	for j := range c.msgs {
+		info := &c.msgs[j]
+		if info.known && (unreturned == nil || info.m < unreturned.m) && c.correct(info.from) && !info.returned {
+			unreturned = info
 		}
 	}
-	for _, m := range msgs {
-		info := c.bcasts[m]
-		if !c.correct(info.from) {
+	if info := unreturned; info != nil {
+		return &Violation{Spec: "Basic-Broadcast", Property: "BC-Local-Termination",
+			Detail: fmt.Sprintf("correct %v never returns from B.broadcast(m%d)", info.from, info.m), StepIdx: info.stepIdx}
+	}
+	var undelivered *basicMsg
+	var by model.ProcID
+	for j := range c.msgs {
+		info := &c.msgs[j]
+		if !info.known || (undelivered != nil && info.m >= undelivered.m) || !c.correct(info.from) {
 			continue
 		}
-		for p := 1; p <= c.n; p++ {
-			pid := model.ProcID(p)
-			if !c.correct(pid) {
-				continue
-			}
-			if !c.delivered[pid][m] {
-				return &Violation{Spec: "Basic-Broadcast", Property: "BC-Global-CS-Termination",
-					Detail: fmt.Sprintf("m%d broadcast by correct %v never B-delivered by correct %v", m, info.from, pid), StepIdx: -1}
-			}
+		if p := c.undelivered(&c.delivered, j); p != 0 {
+			undelivered, by = info, p
 		}
+	}
+	if info := undelivered; info != nil {
+		return &Violation{Spec: "Basic-Broadcast", Property: "BC-Global-CS-Termination",
+			Detail: fmt.Sprintf("m%d broadcast by correct %v never B-delivered by correct %v", info.m, info.from, by), StepIdx: -1}
 	}
 	return nil
 }
@@ -189,36 +217,39 @@ func (c *basicChecker) finish(complete bool) *Violation {
 // send is all SR-No-Duplication and SR-Termination need.
 type channelsChecker struct {
 	crashTracker
-	sent map[model.MsgID]srDest
+	sends []srSend // by slot
 }
 
-type srDest struct {
-	from, to model.ProcID
-	received bool
+type srSend struct {
+	m              model.MsgID
+	from, to       model.ProcID
+	sent, received bool
 }
 
 func newChannelsChecker(n int) *channelsChecker {
-	return &channelsChecker{
-		crashTracker: newCrashTracker(n),
-		sent:         make(map[model.MsgID]srDest),
-	}
+	return &channelsChecker{crashTracker: newCrashTracker(n)}
 }
 
-func (c *channelsChecker) feed(i int, s *model.Step) *Violation {
+func (*channelsChecker) kinds() kindSet {
+	return kindsOf(model.KindSend, model.KindReceive, model.KindCrash)
+}
+
+func (c *channelsChecker) feed(i int, s *model.Step, slot int) *Violation {
 	c.observe(s)
 	switch s.Kind {
 	case model.KindSend:
-		if _, dup := c.sent[s.Msg]; dup {
+		if slot < len(c.sends) && c.sends[slot].sent {
 			return &Violation{Spec: "SR-Channels", Property: "SR-Validity",
 				Detail: fmt.Sprintf("message instance m%d sent twice", s.Msg), StepIdx: i}
 		}
-		c.sent[s.Msg] = srDest{from: s.Proc, to: s.Peer}
+		c.sends = growTo(c.sends, slot)
+		c.sends[slot] = srSend{m: s.Msg, from: s.Proc, to: s.Peer, sent: true}
 	case model.KindReceive:
-		d, ok := c.sent[s.Msg]
-		if !ok {
+		if slot >= len(c.sends) || !c.sends[slot].sent {
 			return &Violation{Spec: "SR-Channels", Property: "SR-Validity",
 				Detail: fmt.Sprintf("%v receives m%d from %v, never sent", s.Proc, s.Msg, s.Peer), StepIdx: i}
 		}
+		d := &c.sends[slot]
 		if d.from != s.Peer || d.to != s.Proc {
 			return &Violation{Spec: "SR-Channels", Property: "SR-Validity",
 				Detail: fmt.Sprintf("%v receives m%d from %v, but m%d was sent by %v to %v", s.Proc, s.Msg, s.Peer, s.Msg, d.from, d.to), StepIdx: i}
@@ -228,20 +259,25 @@ func (c *channelsChecker) feed(i int, s *model.Step) *Violation {
 				Detail: fmt.Sprintf("%v receives m%d twice", s.Proc, s.Msg), StepIdx: i}
 		}
 		d.received = true
-		c.sent[s.Msg] = d
 	}
 	return nil
 }
 
+// finish names the lowest send that fails SR-Termination.
 func (c *channelsChecker) finish(complete bool) *Violation {
 	if !complete {
 		return nil
 	}
-	for _, m := range sortedKeys(c.sent) {
-		if d := c.sent[m]; c.correct(d.to) && !d.received {
-			return &Violation{Spec: "SR-Channels", Property: "SR-Termination",
-				Detail: fmt.Sprintf("m%d sent by %v to correct %v never received", m, d.from, d.to), StepIdx: -1}
+	var lost *srSend
+	for j := range c.sends {
+		d := &c.sends[j]
+		if d.sent && (lost == nil || d.m < lost.m) && c.correct(d.to) && !d.received {
+			lost = d
 		}
+	}
+	if d := lost; d != nil {
+		return &Violation{Spec: "SR-Channels", Property: "SR-Termination",
+			Detail: fmt.Sprintf("m%d sent by %v to correct %v never received", d.m, d.from, d.to), StepIdx: -1}
 	}
 	return nil
 }
@@ -267,7 +303,7 @@ const (
 // which values were proposed and decided, so that a step costs O(1)
 // whatever the number of processes.
 type ksaObject struct {
-	// procs[p-1] holds the bits of process p of p1..p_ksaDense; others
+	// procs[p-1] holds the bits of process p of p1..p_procDense; others
 	// holds those of any other id: a process of a larger system, or an
 	// id outside p1..pn, which only a malformed trace names.
 	procs    []uint8
@@ -275,12 +311,6 @@ type ksaObject struct {
 	values   map[model.Value]uint8
 	distinct int // the number of distinct values decided
 }
-
-// ksaDense bounds the processes a ksaObject indexes densely. A record
-// then costs O(1) beyond the proposals it holds, even for an uploaded
-// trace that declares thousands of processes and proposes once on each
-// of many objects.
-const ksaDense = 64
 
 // bits returns process p's bits on the object.
 func (o *ksaObject) bits(p model.ProcID) uint8 {
@@ -311,13 +341,17 @@ func newKSAChecker(n, k int, name string) *ksaChecker {
 	}
 }
 
-func (c *ksaChecker) feed(i int, s *model.Step) *Violation {
+func (*ksaChecker) kinds() kindSet {
+	return kindsOf(model.KindPropose, model.KindDecide, model.KindCrash)
+}
+
+func (c *ksaChecker) feed(i int, s *model.Step, _ int) *Violation {
 	c.observe(s)
 	switch s.Kind {
 	case model.KindPropose:
 		o := c.objs[s.Obj]
 		if o == nil {
-			o = &ksaObject{procs: make([]uint8, min(c.n, ksaDense)), values: make(map[model.Value]uint8)}
+			o = &ksaObject{procs: make([]uint8, min(c.n, procDense)), values: make(map[model.Value]uint8)}
 			c.objs[s.Obj] = o
 		}
 		if o.bits(s.Proc)&ksaProposed != 0 {

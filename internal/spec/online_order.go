@@ -23,49 +23,51 @@ import (
 // parked and joined to the conflict graph when the broadcast arrives,
 // matching the reference scan over broadcast messages only).
 
+// orderKinds are the steps the ordering leaves read: invocations and
+// deliveries.
+var orderKinds = kindsOf(model.KindBroadcastInvoke, model.KindDeliver)
+
 // fifoChecker keeps one cursor per (receiver, sender) pair — the number
 // of the sender's messages the receiver has delivered, which must advance
 // in broadcast order with no gaps.
 type fifoChecker struct {
 	safety
-	seq          map[model.MsgID]fifoSlot
-	counts       map[model.ProcID]int
-	deliveredIdx map[model.ProcID]map[model.ProcID]int
+	n      int
+	seq    []fifoSlot         // by slot
+	counts procTable[int]     // broadcasts per sender
+	cursor procTable[procVec] // cursor[r][q]: q's messages r delivered
 }
 
 type fifoSlot struct {
-	from model.ProcID
-	idx  int
+	from  model.ProcID
+	idx   int
+	known bool
 }
 
-func newFIFOChecker() *fifoChecker {
-	return &fifoChecker{
-		seq:          make(map[model.MsgID]fifoSlot),
-		counts:       make(map[model.ProcID]int),
-		deliveredIdx: make(map[model.ProcID]map[model.ProcID]int),
-	}
+func newFIFOChecker(n int) *fifoChecker {
+	return &fifoChecker{n: n}
 }
 
-func (c *fifoChecker) feed(i int, s *model.Step) *Violation {
+func (*fifoChecker) kinds() kindSet { return orderKinds }
+
+func (c *fifoChecker) feed(i int, s *model.Step, slot int) *Violation {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
-		c.seq[s.Msg] = fifoSlot{from: s.Proc, idx: c.counts[s.Proc]}
-		c.counts[s.Proc]++
+		cnt := c.counts.at(c.n, s.Proc)
+		c.seq = growTo(c.seq, slot)
+		c.seq[slot] = fifoSlot{from: s.Proc, idx: *cnt, known: true}
+		*cnt++
 	case model.KindDeliver:
-		sl, ok := c.seq[s.Msg]
-		if !ok {
+		if slot >= len(c.seq) || !c.seq[slot].known {
 			return nil // BC-Validity's concern, not FIFO's
 		}
-		dm := c.deliveredIdx[s.Proc]
-		if dm == nil {
-			dm = make(map[model.ProcID]int)
-			c.deliveredIdx[s.Proc] = dm
-		}
-		if want := dm[sl.from]; sl.idx != want {
+		sl := c.seq[slot]
+		cur := c.cursor.at(c.n, s.Proc)
+		if want := cur.get(sl.from); sl.idx != want {
 			return &Violation{Spec: "FIFO-Order", Property: "FIFO",
 				Detail: fmt.Sprintf("%v delivers m%d (message #%d of %v) but has delivered only %d of %v's earlier messages", s.Proc, s.Msg, sl.idx+1, sl.from, want, sl.from), StepIdx: i}
 		}
-		dm[sl.from]++
+		cur.set(c.n, sl.from, sl.idx+1)
 	}
 	return nil
 }
@@ -85,26 +87,43 @@ func (c *fifoChecker) feed(i int, s *model.Step) *Violation {
 // vector and are tracked in explicit side sets, preserving the reference
 // verdict there too. A delivery that misses several predecessors names
 // the one broadcast first; failing a broadcast one, the lowest id.
+//
+// Vectors are procVecs, dense over p1..p64, so an upload that declares
+// thousands of processes costs each message a vector of at most 64
+// entries plus the senders beyond p64 its past actually holds.
 type causalChecker struct {
 	safety
-	bseq map[model.ProcID][]causalBcast
-	meta map[model.MsgID]*causalMsg
+	n    int
+	bseq procTable[[]causalBcast]
+	msgs []causalMsg // by slot
 	// hist[p][q] = length of the prefix of q's broadcasts in p's causal
-	// history; histUnknown[p] = never-broadcast messages in that history.
-	hist        map[model.ProcID]map[model.ProcID]int
-	histUnknown map[model.ProcID]map[model.MsgID]bool
+	// history; histUnknown[p] = never-broadcast messages in that history,
+	// id to slot.
+	hist        procTable[procVec]
+	histUnknown map[model.ProcID]map[model.MsgID]int
 	// prefix[p][q] = length of the contiguous prefix of q's broadcasts p
 	// has delivered; ooo[p][q] = delivered broadcast ordinals beyond it.
-	prefix           map[model.ProcID]map[model.ProcID]int
+	// The side tables (ooo and the never-broadcast sets) are made on first
+	// use; they stay empty on a trace where every message is broadcast
+	// before it is delivered and each process delivers each sender's
+	// messages in broadcast order.
+	prefix           procTable[procVec]
 	ooo              map[model.ProcID]map[model.ProcID]map[int]bool
-	deliveredUnknown map[model.ProcID]map[model.MsgID]bool
+	deliveredUnknown procSets
 }
 
 type causalMsg struct {
+	known   bool
 	sender  model.ProcID
 	seq     int
-	vc      map[model.ProcID]int
-	unknown []model.MsgID // ascending
+	vc      procVec
+	unknown []causalUnknown // ascending by id
+}
+
+// causalUnknown is a never-broadcast message in a causal past.
+type causalUnknown struct {
+	m    model.MsgID
+	slot int
 }
 
 // causalBcast is one broadcast in its sender's sequence, and the index of
@@ -114,27 +133,33 @@ type causalBcast struct {
 	at int
 }
 
-func newCausalChecker() *causalChecker {
-	return &causalChecker{
-		bseq:             make(map[model.ProcID][]causalBcast),
-		meta:             make(map[model.MsgID]*causalMsg),
-		hist:             make(map[model.ProcID]map[model.ProcID]int),
-		histUnknown:      make(map[model.ProcID]map[model.MsgID]bool),
-		prefix:           make(map[model.ProcID]map[model.ProcID]int),
-		ooo:              make(map[model.ProcID]map[model.ProcID]map[int]bool),
-		deliveredUnknown: make(map[model.ProcID]map[model.MsgID]bool),
-	}
+func newCausalChecker(n int) *causalChecker {
+	return &causalChecker{n: n}
 }
 
-func (c *causalChecker) hasDelivered(p model.ProcID, m model.MsgID) bool {
-	if c.deliveredUnknown[p][m] {
+func (c *causalChecker) msg(slot int) *causalMsg {
+	if slot < len(c.msgs) && c.msgs[slot].known {
+		return &c.msgs[slot]
+	}
+	return nil
+}
+
+func (c *causalChecker) prefixOf(p, q model.ProcID) int {
+	if pre := c.prefix.get(p); pre != nil {
+		return pre.get(q)
+	}
+	return 0
+}
+
+func (c *causalChecker) hasDelivered(p model.ProcID, slot int) bool {
+	if c.deliveredUnknown.has(slot, p) {
 		return true
 	}
-	mm := c.meta[m]
+	mm := c.msg(slot)
 	if mm == nil {
 		return false
 	}
-	if mm.seq < c.prefix[p][mm.sender] {
+	if mm.seq < c.prefixOf(p, mm.sender) {
 		return true
 	}
 	return c.ooo[p][mm.sender][mm.seq]
@@ -144,63 +169,71 @@ func (c *causalChecker) hasDelivered(p model.ProcID, m model.MsgID) bool {
 // delivered: the one broadcast first, else the lowest never-broadcast one.
 func (c *causalChecker) missing(p model.ProcID, mm *causalMsg) (model.MsgID, bool) {
 	first := causalBcast{at: -1}
-	pre := c.prefix[p]
-	for q, need := range mm.vc {
+	pre := c.prefix.get(p)
+	mm.vc.each(func(q model.ProcID, need int) {
 		// Per sender, the first gap is the missing message broadcast first.
-		for j := pre[q]; j < need; j++ {
+		j := 0
+		if pre != nil {
+			j = pre.get(q)
+		}
+		for ; j < need; j++ {
 			if !c.ooo[p][q][j] {
-				if b := c.bseq[q][j]; first.at < 0 || b.at < first.at {
+				if b := (*c.bseq.get(q))[j]; first.at < 0 || b.at < first.at {
 					first = b
 				}
 				break
 			}
 		}
-	}
+	})
 	if first.at >= 0 {
 		return first.m, true
 	}
 	for _, u := range mm.unknown {
-		if !c.hasDelivered(p, u) {
-			return u, true
+		if !c.hasDelivered(p, u.slot) {
+			return u.m, true
 		}
 	}
 	return 0, false
 }
 
-func (c *causalChecker) feed(i int, s *model.Step) *Violation {
+func (*causalChecker) kinds() kindSet { return orderKinds }
+
+func (c *causalChecker) feed(i int, s *model.Step, slot int) *Violation {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
 		p := s.Proc
-		seq := len(c.bseq[p])
-		vc := make(map[model.ProcID]int, len(c.hist[p]))
-		for q, l := range c.hist[p] {
-			vc[q] = l
+		seq := 0
+		if b := c.bseq.get(p); b != nil {
+			seq = len(*b)
 		}
-		var unk []model.MsgID
-		if len(c.histUnknown[p]) > 0 {
-			unk = sortedKeys(c.histUnknown[p])
+		h := c.hist.at(c.n, p)
+		var unk []causalUnknown
+		if hu := c.histUnknown[p]; len(hu) > 0 {
+			unk = make([]causalUnknown, 0, len(hu))
+			for _, u := range sortedKeys(hu) {
+				unk = append(unk, causalUnknown{m: u, slot: hu[u]})
+			}
 		}
-		c.meta[s.Msg] = &causalMsg{sender: p, seq: seq, vc: vc, unknown: unk}
-		c.bseq[p] = append(c.bseq[p], causalBcast{m: s.Msg, at: i})
-		if c.hist[p] == nil {
-			c.hist[p] = make(map[model.ProcID]int)
-		}
-		c.hist[p][p] = seq + 1
+		c.msgs = growTo(c.msgs, slot)
+		c.msgs[slot] = causalMsg{known: true, sender: p, seq: seq, vc: h.clone(), unknown: unk}
+		b := c.bseq.at(c.n, p)
+		*b = append(*b, causalBcast{m: s.Msg, at: i})
+		h.set(c.n, p, seq+1)
 	case model.KindDeliver:
 		p := s.Proc
-		mm := c.meta[s.Msg]
+		mm := c.msg(slot)
 		if mm == nil {
 			// Never broadcast: no causal past to check (matching the
 			// reference predicate); it still joins p's delivered set and
 			// causal history.
-			if c.deliveredUnknown[p] == nil {
-				c.deliveredUnknown[p] = make(map[model.MsgID]bool)
+			c.deliveredUnknown.add(slot, p)
+			if c.histUnknown == nil {
+				c.histUnknown = make(map[model.ProcID]map[model.MsgID]int)
 			}
-			c.deliveredUnknown[p][s.Msg] = true
 			if c.histUnknown[p] == nil {
-				c.histUnknown[p] = make(map[model.MsgID]bool)
+				c.histUnknown[p] = make(map[model.MsgID]int)
 			}
-			c.histUnknown[p][s.Msg] = true
+			c.histUnknown[p][s.Msg] = slot
 			return nil
 		}
 		// Every message in m's causal past must already be delivered at p.
@@ -209,20 +242,20 @@ func (c *causalChecker) feed(i int, s *model.Step) *Violation {
 				Detail: fmt.Sprintf("%v delivers m%d before its causal predecessor m%d", p, s.Msg, pred), StepIdx: i}
 		}
 		// Record the delivery in the prefix/out-of-order structure.
-		pre := c.prefix[p]
-		if pre == nil {
-			pre = make(map[model.ProcID]int)
-			c.prefix[p] = pre
-		}
-		switch {
-		case mm.seq == pre[mm.sender]:
-			pre[mm.sender]++
+		pre := c.prefix.at(c.n, p)
+		switch at := pre.get(mm.sender); {
+		case mm.seq == at:
+			at++
 			buf := c.ooo[p][mm.sender]
-			for buf[pre[mm.sender]] {
-				delete(buf, pre[mm.sender])
-				pre[mm.sender]++
+			for buf[at] {
+				delete(buf, at)
+				at++
 			}
-		case mm.seq > pre[mm.sender]:
+			pre.set(c.n, mm.sender, at)
+		case mm.seq > at:
+			if c.ooo == nil {
+				c.ooo = make(map[model.ProcID]map[model.ProcID]map[int]bool)
+			}
 			if c.ooo[p] == nil {
 				c.ooo[p] = make(map[model.ProcID]map[int]bool)
 			}
@@ -232,25 +265,24 @@ func (c *causalChecker) feed(i int, s *model.Step) *Violation {
 			c.ooo[p][mm.sender][mm.seq] = true
 		}
 		// The delivered message and its past join p's causal history.
-		h := c.hist[p]
-		if h == nil {
-			h = make(map[model.ProcID]int)
-			c.hist[p] = h
-		}
-		for q, l := range mm.vc {
-			if l > h[q] {
-				h[q] = l
+		h := c.hist.at(c.n, p)
+		mm.vc.each(func(q model.ProcID, l int) {
+			if l > h.get(q) {
+				h.set(c.n, q, l)
 			}
-		}
-		if mm.seq+1 > h[mm.sender] {
-			h[mm.sender] = mm.seq + 1
+		})
+		if mm.seq+1 > h.get(mm.sender) {
+			h.set(c.n, mm.sender, mm.seq+1)
 		}
 		if len(mm.unknown) > 0 {
+			if c.histUnknown == nil {
+				c.histUnknown = make(map[model.ProcID]map[model.MsgID]int)
+			}
 			if c.histUnknown[p] == nil {
-				c.histUnknown[p] = make(map[model.MsgID]bool)
+				c.histUnknown[p] = make(map[model.MsgID]int)
 			}
 			for _, u := range mm.unknown {
-				c.histUnknown[p][u] = true
+				c.histUnknown[p][u.m] = u.slot
 			}
 		}
 	}
@@ -275,8 +307,37 @@ func (c *causalChecker) feed(i int, s *model.Step) *Violation {
 // arrives late, and for any pair where a conflict is possible. It thus
 // reports exactly the conflicts, in the same order, that scanning every
 // pair's common list on every first delivery would.
+//
+// Pair state is made on first use: the pairs of p1..p_pairDense in a
+// slice indexed by the pair, any other pair in a map.
 type orderTracker struct {
+	d     int // min(n, pairDense)
+	dense []orderPair
 	pairs map[pairPQ]*orderPair
+}
+
+// pairDense bounds the processes whose pairs orderTracker indexes
+// densely; their table then holds at most 120 pairs.
+const pairDense = 16
+
+// pair returns the state of processes p < q of p1..pn.
+func (t *orderTracker) pair(p, q model.ProcID) *orderPair {
+	if int(q) <= t.d {
+		if t.dense == nil {
+			t.dense = make([]orderPair, t.d*(t.d-1)/2)
+		}
+		return &t.dense[int(q-1)*int(q-2)/2+int(p-1)]
+	}
+	pk := pairPQ{p, q}
+	pr := t.pairs[pk]
+	if pr == nil {
+		if t.pairs == nil {
+			t.pairs = make(map[pairPQ]*orderPair)
+		}
+		pr = &orderPair{}
+		t.pairs[pk] = pr
+	}
+	return pr
 }
 
 type pairPQ struct{ p, q model.ProcID } // p < q
@@ -321,14 +382,12 @@ func (t *orderTracker) observe(p model.ProcID, m model.MsgID, key int, dels []pr
 		if q == p {
 			continue
 		}
-		pk, sp, sq := pairPQ{p, q}, 0, 1
+		var pr *orderPair
+		sp, sq := 0, 1
 		if q < p {
-			pk, sp, sq = pairPQ{q, p}, 1, 0
-		}
-		pr := t.pairs[pk]
-		if pr == nil {
-			pr = &orderPair{}
-			t.pairs[pk] = pr
+			pr, sp, sq = t.pair(q, p), 1, 0
+		} else {
+			pr = t.pair(p, q)
 		}
 		if key < pr.max[sp] || d.key < pr.max[sq] {
 			for _, c := range pr.common {
@@ -358,12 +417,12 @@ func (t *orderTracker) observe(p model.ProcID, m model.MsgID, key int, dels []pr
 // predicates scan broadcast messages only, so conflicts involving a
 // message only exist once it is broadcast.
 //
-// Its state is dense: each MsgID is interned once into a slot, so a step
-// costs one map lookup, and the slot holds the message's first deliveries
-// in ascending process order — parked ones included, so the broadcast
-// releases them in that order without a sort. Per-process counters grow
-// with the largest process that delivers, and pair state is made on first
-// use, so nothing is sized by n, or n², up front.
+// Its state is dense: the Monitor's slot indexes the per-message state,
+// which holds the message's first deliveries in ascending process order —
+// parked ones included, so the broadcast releases them in that order
+// without a sort. Per-process counters grow with the largest process that
+// delivers, and pair state is made on first use, so nothing is sized by
+// n, or n², up front.
 type conflictStream struct {
 	n int
 	// scd selects delivered-set ordinal keys (batchIndex semantics: the
@@ -371,8 +430,7 @@ type conflictStream struct {
 	// differs from the previous delivery's).
 	scd   bool
 	trk   orderTracker
-	ids   map[model.MsgID]int
-	msgs  []msgSlot
+	msgs  []msgSlot // by slot
 	procs []streamProc
 }
 
@@ -392,30 +450,12 @@ type streamProc struct {
 }
 
 func newConflictStream(n int, scd bool) *conflictStream {
-	return &conflictStream{
-		n:   n,
-		scd: scd,
-		trk: orderTracker{pairs: make(map[pairPQ]*orderPair)},
-		ids: make(map[model.MsgID]int),
-	}
-}
-
-// slot returns m's slot, interning m on first sight.
-func (f *conflictStream) slot(m model.MsgID) *msgSlot {
-	i, ok := f.ids[m]
-	if !ok {
-		i = len(f.msgs)
-		f.ids[m] = i
-		f.msgs = append(f.msgs, msgSlot{})
-	}
-	return &f.msgs[i]
+	return &conflictStream{n: n, scd: scd, trk: orderTracker{d: min(n, pairDense)}}
 }
 
 // key assigns the order key of p's next delivery.
 func (f *conflictStream) key(p model.ProcID, batch int64) int {
-	if int(p) >= len(f.procs) {
-		f.procs = append(f.procs, make([]streamProc, int(p)+1-len(f.procs))...)
-	}
+	f.procs = growTo(f.procs, int(p))
 	st := &f.procs[p]
 	if !f.scd {
 		st.next++
@@ -428,11 +468,13 @@ func (f *conflictStream) key(p model.ProcID, batch int64) int {
 	return st.next
 }
 
-// step consumes one step and returns the new conflicts it creates.
-func (f *conflictStream) step(s *model.Step) []conflict {
+// step consumes one step, whose message has the given slot, and returns
+// the new conflicts it creates.
+func (f *conflictStream) step(s *model.Step, slot int) []conflict {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
-		ms := f.slot(s.Msg)
+		f.msgs = growTo(f.msgs, slot)
+		ms := &f.msgs[slot]
 		if ms.known {
 			return nil
 		}
@@ -450,7 +492,8 @@ func (f *conflictStream) step(s *model.Step) []conflict {
 			return nil // outside p1..pn: the reference pair scan ignores it
 		}
 		key := f.key(p, s.Batch)
-		ms := f.slot(s.Msg)
+		f.msgs = growTo(f.msgs, slot)
+		ms := &f.msgs[slot]
 		i := 0
 		for i < len(ms.dels) && ms.dels[i].p < p {
 			i++
@@ -480,8 +523,10 @@ func newTotalOrderChecker(n int) *totalOrderChecker {
 	return &totalOrderChecker{cs: newConflictStream(n, false)}
 }
 
-func (c *totalOrderChecker) feed(i int, s *model.Step) *Violation {
-	if cf := c.cs.step(s); len(cf) > 0 {
+func (*totalOrderChecker) kinds() kindSet { return orderKinds }
+
+func (c *totalOrderChecker) feed(i int, s *model.Step, slot int) *Violation {
+	if cf := c.cs.step(s, slot); len(cf) > 0 {
 		x := cf[0]
 		return &Violation{Spec: "Total-Order", Property: "Total-Order",
 			Detail: fmt.Sprintf("%v delivers m%d before m%d but %v delivers m%d before m%d", x.p, x.a, x.b, x.q, x.b, x.a), StepIdx: i}
@@ -492,7 +537,8 @@ func (c *totalOrderChecker) feed(i int, s *model.Step) *Violation {
 // cliqueChecker is the shared streaming core of k-BO and k-SCD: it
 // accumulates conflict edges and, on each new edge, searches for a
 // (k+1)-clique containing that edge among the endpoints' common
-// neighbors, under the shared exploration budget.
+// neighbors, under the shared exploration budget. The adjacency stays a
+// map: it changes only on a new conflict, never on a plain step.
 type cliqueChecker struct {
 	safety
 	name     string
@@ -511,15 +557,19 @@ func newCliqueChecker(n, k int, scd bool, name, property, detail string, budget 
 		detail:   detail,
 		k:        k,
 		cs:       newConflictStream(n, scd),
-		adj:      make(map[model.MsgID]map[model.MsgID]bool),
 		budget:   budget,
 	}
 }
 
-func (c *cliqueChecker) feed(i int, s *model.Step) *Violation {
-	for _, cf := range c.cs.step(s) {
+func (*cliqueChecker) kinds() kindSet { return orderKinds }
+
+func (c *cliqueChecker) feed(i int, s *model.Step, slot int) *Violation {
+	for _, cf := range c.cs.step(s, slot) {
 		if c.adj[cf.a][cf.b] {
 			continue
+		}
+		if c.adj == nil {
+			c.adj = make(map[model.MsgID]map[model.MsgID]bool)
 		}
 		linkConflict(c.adj, cf.a, cf.b)
 		// A (k+1)-clique through the new edge needs a (k-1)-clique among
@@ -566,32 +616,35 @@ type firstKChecker struct {
 	safety
 	name      string
 	k, n      int
-	firstSeen []bool
-	firsts    map[model.MsgID]bool
+	firstSeen []bool // p0..pn, made on first use
+	firsts    []bool // by slot
+	distinct  int
 }
 
 func newFirstKChecker(n, k int, name string) *firstKChecker {
-	return &firstKChecker{
-		name:      name,
-		k:         k,
-		n:         n,
-		firstSeen: make([]bool, n+1),
-		firsts:    make(map[model.MsgID]bool),
-	}
+	return &firstKChecker{name: name, k: k, n: n}
 }
 
-func (c *firstKChecker) feed(i int, s *model.Step) *Violation {
+func (*firstKChecker) kinds() kindSet { return kindsOf(model.KindDeliver) }
+
+func (c *firstKChecker) feed(i int, s *model.Step, slot int) *Violation {
 	if s.Kind != model.KindDeliver || s.Proc < 1 || int(s.Proc) > c.n {
 		return nil
+	}
+	if c.firstSeen == nil {
+		c.firstSeen = make([]bool, c.n+1)
 	}
 	if c.firstSeen[s.Proc] {
 		return nil
 	}
 	c.firstSeen[s.Proc] = true
-	c.firsts[s.Msg] = true
-	if len(c.firsts) > c.k {
+	if c.firsts = growTo(c.firsts, slot); !c.firsts[slot] {
+		c.firsts[slot] = true
+		c.distinct++
+	}
+	if c.distinct > c.k {
 		return &Violation{Spec: c.name, Property: "First-k",
-			Detail: fmt.Sprintf("%d distinct messages delivered first, at most %d allowed", len(c.firsts), c.k), StepIdx: i}
+			Detail: fmt.Sprintf("%d distinct messages delivered first, at most %d allowed", c.distinct, c.k), StepIdx: i}
 	}
 	return nil
 }
@@ -600,134 +653,170 @@ func (c *firstKChecker) feed(i int, s *model.Step) *Violation {
 // S_a and the set of S_a messages delivered first-within-S_a by some
 // process. Both counts only grow, so the latched verdict equals the
 // reference verdict on every trace where broadcasts precede deliveries.
+// A message belongs to one group, so one flag per message records whether
+// it counts among its group's firsts.
 type ksteppedChecker struct {
 	safety
-	name        string
-	k, n        int
-	bcount      []int
-	groupOf     map[model.MsgID]int
-	groupSize   map[int]int
-	firstSa     []map[int]bool
-	groupFirsts map[int]map[model.MsgID]bool
+	name   string
+	k, n   int
+	bcount []int           // broadcasts per process, p0..pn, made on first use
+	msgs   []ksMsg         // by slot
+	groups []ksGroup       // by ordinal a
+	seen   map[ksSeen]bool // first deliveries within a group by p65 and up
+}
+
+// ksMsg is one message's group, 1 + its ordinal (0 when it has none), and
+// whether some process delivered it first within that group.
+type ksMsg struct {
+	group int
+	first bool
+}
+
+// ksGroup is one group S_a: its size, its distinct first-delivered
+// messages, and the processes of p1..p64 that delivered within it.
+type ksGroup struct {
+	size, firsts int
+	seen         uint64
+}
+
+type ksSeen struct {
+	a int
+	p model.ProcID
 }
 
 func newKSteppedChecker(n, k int, name string) *ksteppedChecker {
-	c := &ksteppedChecker{
-		name:        name,
-		k:           k,
-		n:           n,
-		bcount:      make([]int, n+1),
-		groupOf:     make(map[model.MsgID]int),
-		groupSize:   make(map[int]int),
-		firstSa:     make([]map[int]bool, n+1),
-		groupFirsts: make(map[int]map[model.MsgID]bool),
-	}
-	for p := 1; p <= n; p++ {
-		c.firstSa[p] = make(map[int]bool)
-	}
-	return c
+	return &ksteppedChecker{name: name, k: k, n: n}
 }
 
 func (c *ksteppedChecker) check(a, i int) *Violation {
-	if c.groupSize[a] <= c.k || len(c.groupFirsts[a]) <= c.k {
+	if g := c.groups[a]; g.size <= c.k || g.firsts <= c.k {
 		return nil
 	}
 	return &Violation{Spec: c.name, Property: "k-Stepped",
-		Detail: fmt.Sprintf("step %d: %d distinct messages of S_%d delivered first within S_%d, at most %d allowed", a+1, len(c.groupFirsts[a]), a+1, a+1, c.k), StepIdx: i}
+		Detail: fmt.Sprintf("step %d: %d distinct messages of S_%d delivered first within S_%d, at most %d allowed", a+1, c.groups[a].firsts, a+1, a+1, c.k), StepIdx: i}
 }
 
-func (c *ksteppedChecker) feed(i int, s *model.Step) *Violation {
+// firstWithin marks p as having delivered within group a, and reports
+// whether this is p's first delivery there.
+func (c *ksteppedChecker) firstWithin(a int, p model.ProcID) bool {
+	if p <= procDense {
+		bit := uint64(1) << (p - 1)
+		if c.groups[a].seen&bit != 0 {
+			return false
+		}
+		c.groups[a].seen |= bit
+		return true
+	}
+	if c.seen[ksSeen{a, p}] {
+		return false
+	}
+	if c.seen == nil {
+		c.seen = make(map[ksSeen]bool)
+	}
+	c.seen[ksSeen{a, p}] = true
+	return true
+}
+
+func (*ksteppedChecker) kinds() kindSet { return orderKinds }
+
+func (c *ksteppedChecker) feed(i int, s *model.Step, slot int) *Violation {
+	if s.Proc < 1 || int(s.Proc) > c.n {
+		return nil
+	}
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
-		if s.Proc < 1 || int(s.Proc) > c.n {
+		if c.msgs = growTo(c.msgs, slot); c.msgs[slot].group != 0 {
 			return nil
 		}
-		if _, dup := c.groupOf[s.Msg]; dup {
-			return nil
+		if c.bcount == nil {
+			c.bcount = make([]int, c.n+1)
 		}
 		a := c.bcount[s.Proc]
 		c.bcount[s.Proc]++
-		c.groupOf[s.Msg] = a
-		c.groupSize[a]++
+		c.msgs[slot].group = a + 1
+		c.groups = growTo(c.groups, a)
+		c.groups[a].size++
 		return c.check(a, i)
 	case model.KindDeliver:
-		if s.Proc < 1 || int(s.Proc) > c.n {
+		if slot >= len(c.msgs) || c.msgs[slot].group == 0 {
 			return nil
 		}
-		a, ok := c.groupOf[s.Msg]
-		if !ok {
+		a := c.msgs[slot].group - 1
+		if !c.firstWithin(a, s.Proc) {
 			return nil
 		}
-		if c.firstSa[s.Proc][a] {
-			return nil
+		if !c.msgs[slot].first {
+			c.msgs[slot].first = true
+			c.groups[a].firsts++
 		}
-		c.firstSa[s.Proc][a] = true
-		if c.groupFirsts[a] == nil {
-			c.groupFirsts[a] = make(map[model.MsgID]bool)
-		}
-		c.groupFirsts[a][s.Msg] = true
 		return c.check(a, i)
 	}
 	return nil
 }
 
 // saTaggedChecker counts, per k-SA identifier, the distinct SA-tagged
-// messages delivered first-among-tagged by some process.
+// messages delivered first-among-tagged by some process. A message has
+// one tag, so one flag per message records whether it counts among its
+// object's firsts; the per-object tables stay maps, as k-SA tables do.
 type saTaggedChecker struct {
 	safety
-	name    string
-	k, n    int
-	bseen   map[model.MsgID]bool
-	tagged  map[model.MsgID]model.KSAID
-	seenObj []map[model.KSAID]bool
-	firsts  map[model.KSAID]map[model.MsgID]bool
+	name   string
+	k, n   int
+	msgs   []saMsg // by slot
+	seen   map[saSeen]bool
+	firsts map[model.KSAID]int
+}
+
+// saMsg is one message's state: whether its broadcast has been seen, its
+// SA tag if it has one, and whether it counts among that object's firsts.
+type saMsg struct {
+	bseen, tagged, first bool
+	obj                  model.KSAID
+}
+
+// saSeen names a process's first tagged delivery on an object.
+type saSeen struct {
+	p   model.ProcID
+	obj model.KSAID
 }
 
 func newSATaggedChecker(n, k int, name string) *saTaggedChecker {
-	c := &saTaggedChecker{
-		name:    name,
-		k:       k,
-		n:       n,
-		bseen:   make(map[model.MsgID]bool),
-		tagged:  make(map[model.MsgID]model.KSAID),
-		seenObj: make([]map[model.KSAID]bool, n+1),
-		firsts:  make(map[model.KSAID]map[model.MsgID]bool),
-	}
-	for p := 1; p <= n; p++ {
-		c.seenObj[p] = make(map[model.KSAID]bool)
-	}
-	return c
+	return &saTaggedChecker{name: name, k: k, n: n}
 }
 
-func (c *saTaggedChecker) feed(i int, s *model.Step) *Violation {
+func (*saTaggedChecker) kinds() kindSet { return orderKinds }
+
+func (c *saTaggedChecker) feed(i int, s *model.Step, slot int) *Violation {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
-		if c.bseen[s.Msg] {
+		if c.msgs = growTo(c.msgs, slot); c.msgs[slot].bseen {
 			return nil
 		}
-		c.bseen[s.Msg] = true
+		c.msgs[slot].bseen = true
 		if obj, _, ok := ParseSATag(s.Payload); ok {
-			c.tagged[s.Msg] = obj
+			c.msgs[slot].tagged, c.msgs[slot].obj = true, obj
 		}
 	case model.KindDeliver:
-		if s.Proc < 1 || int(s.Proc) > c.n {
+		if s.Proc < 1 || int(s.Proc) > c.n || slot >= len(c.msgs) || !c.msgs[slot].tagged {
 			return nil
 		}
-		obj, ok := c.tagged[s.Msg]
-		if !ok {
+		ms := &c.msgs[slot]
+		key := saSeen{s.Proc, ms.obj}
+		if c.seen[key] {
 			return nil
 		}
-		if c.seenObj[s.Proc][obj] {
-			return nil
+		if c.seen == nil {
+			c.seen = make(map[saSeen]bool)
+			c.firsts = make(map[model.KSAID]int)
 		}
-		c.seenObj[s.Proc][obj] = true
-		if c.firsts[obj] == nil {
-			c.firsts[obj] = make(map[model.MsgID]bool)
+		c.seen[key] = true
+		if !ms.first {
+			ms.first = true
+			c.firsts[ms.obj]++
 		}
-		c.firsts[obj][s.Msg] = true
-		if len(c.firsts[obj]) > c.k {
+		if c.firsts[ms.obj] > c.k {
 			return &Violation{Spec: c.name, Property: "SA-Tagged-First-k",
-				Detail: fmt.Sprintf("%v: %d distinct SA-tagged messages delivered first, at most %d allowed", obj, len(c.firsts[obj]), c.k), StepIdx: i}
+				Detail: fmt.Sprintf("%v: %d distinct SA-tagged messages delivered first, at most %d allowed", ms.obj, c.firsts[ms.obj], c.k), StepIdx: i}
 		}
 	}
 	return nil
@@ -744,80 +833,100 @@ func (c *saTaggedChecker) feed(i int, s *model.Step) *Violation {
 // completed pattern.
 type mutualChecker struct {
 	safety
-	bcaster map[model.MsgID]model.ProcID
-	dcount  map[model.ProcID]int
-	pos     map[model.ProcID]map[model.MsgID]int
-	own     map[model.ProcID][]model.MsgID
-	delivs  map[model.MsgID][]model.ProcID
+	n      int
+	msgs   []mutualMsg      // by slot
+	dcount procTable[int]   // deliveries per process
+	own    procTable[[]int] // slots of the process's own delivered messages
 }
 
-func newMutualChecker() *mutualChecker {
-	return &mutualChecker{
-		bcaster: make(map[model.MsgID]model.ProcID),
-		dcount:  make(map[model.ProcID]int),
-		pos:     make(map[model.ProcID]map[model.MsgID]int),
-		own:     make(map[model.ProcID][]model.MsgID),
-		delivs:  make(map[model.MsgID][]model.ProcID),
+// mutualMsg is one message's state: its broadcaster once the broadcast is
+// seen, each process's delivery position (1 + the position, 0 when it
+// has not delivered), and its first deliverers in order.
+type mutualMsg struct {
+	m       model.MsgID
+	bcaster model.ProcID
+	known   bool
+	pos     procVec
+	delivs  []model.ProcID
+}
+
+func newMutualChecker(n int) *mutualChecker {
+	return &mutualChecker{n: n}
+}
+
+func (c *mutualChecker) violation(i int, r, w model.ProcID, o, x model.MsgID) *Violation {
+	return &Violation{Spec: "Mutual-Order", Property: "Mutual",
+		Detail: fmt.Sprintf("%v delivers its own m%d before m%d, and %v delivers its own m%d before m%d: the two broadcasts are mutually invisible", r, o, x, w, x, o), StepIdx: i}
+}
+
+// ownOf returns p's own delivered messages.
+func (c *mutualChecker) ownOf(p model.ProcID) []int {
+	if o := c.own.get(p); o != nil {
+		return *o
 	}
+	return nil
 }
 
-func (c *mutualChecker) feed(i int, s *model.Step) *Violation {
+func (*mutualChecker) kinds() kindSet { return orderKinds }
+
+func (c *mutualChecker) feed(i int, s *model.Step, slot int) *Violation {
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
-		w, x := s.Proc, s.Msg
-		if _, dup := c.bcaster[x]; dup {
+		w := s.Proc
+		c.msgs = growTo(c.msgs, slot)
+		mx := &c.msgs[slot]
+		if mx.known {
 			break
 		}
-		c.bcaster[x] = w
-		wx, ok := c.pos[w][x]
-		if !ok {
+		mx.m, mx.bcaster, mx.known = s.Msg, w, true
+		wx := mx.pos.get(w)
+		if wx == 0 {
 			break // w has not delivered x; no pattern can involve x yet
 		}
 		// x was delivered before this broadcast attributed it: it is now
 		// one of w's own messages, and every earlier foreign delivery of x
 		// skipped its pattern scan — repeat it here.
-		c.own[w] = append(c.own[w], x)
-		for _, r := range c.delivs[x] {
+		own := c.own.at(c.n, w)
+		*own = append(*own, slot)
+		for _, r := range mx.delivs {
 			if r == w {
 				continue
 			}
-			rx := c.pos[r][x]
-			for _, o := range c.own[r] {
-				ro := c.pos[r][o]
-				if wo, ok2 := c.pos[w][o]; ok2 && ro < rx && wx < wo {
-					return &Violation{Spec: "Mutual-Order", Property: "Mutual",
-						Detail: fmt.Sprintf("%v delivers its own m%d before m%d, and %v delivers its own m%d before m%d: the two broadcasts are mutually invisible", r, o, x, w, x, o), StepIdx: i}
+			rx := mx.pos.get(r)
+			for _, o := range c.ownOf(r) {
+				mo := &c.msgs[o]
+				if ro, wo := mo.pos.get(r), mo.pos.get(w); wo != 0 && ro < rx && wx < wo {
+					return c.violation(i, r, w, mo.m, s.Msg)
 				}
 			}
 		}
 	case model.KindDeliver:
-		r, x := s.Proc, s.Msg
-		key := c.dcount[r]
-		c.dcount[r]++
-		pm := c.pos[r]
-		if pm == nil {
-			pm = make(map[model.MsgID]int)
-			c.pos[r] = pm
-		}
-		if _, dup := pm[x]; dup {
+		r := s.Proc
+		cnt := c.dcount.at(c.n, r)
+		key := *cnt
+		*cnt++
+		c.msgs = growTo(c.msgs, slot)
+		mx := &c.msgs[slot]
+		mx.m = s.Msg
+		if mx.pos.get(r) != 0 {
 			return nil
 		}
-		w, known := c.bcaster[x]
+		w, known := mx.bcaster, mx.known
 		if known && w != r {
-			wpos := c.pos[w]
-			if wx, ok := wpos[x]; ok { // w delivered its own x already
-				for _, o := range c.own[r] {
-					if wo, ok2 := wpos[o]; ok2 && wx < wo {
-						return &Violation{Spec: "Mutual-Order", Property: "Mutual",
-							Detail: fmt.Sprintf("%v delivers its own m%d before m%d, and %v delivers its own m%d before m%d: the two broadcasts are mutually invisible", r, o, x, w, x, o), StepIdx: i}
+			if wx := mx.pos.get(w); wx != 0 { // w delivered its own x already
+				for _, o := range c.ownOf(r) {
+					mo := &c.msgs[o]
+					if wo := mo.pos.get(w); wo != 0 && wx < wo {
+						return c.violation(i, r, w, mo.m, s.Msg)
 					}
 				}
 			}
 		}
-		pm[x] = key
-		c.delivs[x] = append(c.delivs[x], r)
+		mx.pos.set(c.n, r, key+1)
+		mx.delivs = append(mx.delivs, r)
 		if known && w == r {
-			c.own[r] = append(c.own[r], x)
+			own := c.own.at(c.n, r)
+			*own = append(*own, slot)
 		}
 	}
 	return nil
@@ -827,36 +936,41 @@ func (c *mutualChecker) feed(i int, s *model.Step) *Violation {
 // retained delivered-by tables, naming the lowest message it fails for.
 type uniformChecker struct {
 	crashTracker
-	bcast       map[model.MsgID]bool
-	deliveredBy map[model.MsgID]model.ProcID
-	delivered   map[model.ProcID]map[model.MsgID]bool
+	msgs      []uniformMsg // by slot
+	delivered procSets     // deliveries by p1..pn
+}
+
+// uniformMsg is one message's state: whether it was broadcast, and its
+// first deliverer among p1..pn (0 when none).
+type uniformMsg struct {
+	m     model.MsgID
+	bcast bool
+	by    model.ProcID
 }
 
 func newUniformChecker(n int) *uniformChecker {
-	return &uniformChecker{
-		crashTracker: newCrashTracker(n),
-		bcast:        make(map[model.MsgID]bool),
-		deliveredBy:  make(map[model.MsgID]model.ProcID),
-		delivered:    make(map[model.ProcID]map[model.MsgID]bool),
-	}
+	return &uniformChecker{crashTracker: newCrashTracker(n)}
 }
 
-func (c *uniformChecker) feed(_ int, s *model.Step) *Violation {
+func (*uniformChecker) kinds() kindSet {
+	return kindsOf(model.KindBroadcastInvoke, model.KindDeliver, model.KindCrash)
+}
+
+func (c *uniformChecker) feed(_ int, s *model.Step, slot int) *Violation {
 	c.observe(s)
 	switch s.Kind {
 	case model.KindBroadcastInvoke:
-		c.bcast[s.Msg] = true
+		c.msgs = growTo(c.msgs, slot)
+		c.msgs[slot].m, c.msgs[slot].bcast = s.Msg, true
 	case model.KindDeliver:
 		if s.Proc >= 1 && int(s.Proc) <= c.n {
-			if _, ok := c.deliveredBy[s.Msg]; !ok {
-				c.deliveredBy[s.Msg] = s.Proc
+			c.msgs = growTo(c.msgs, slot)
+			u := &c.msgs[slot]
+			u.m = s.Msg
+			if u.by == 0 {
+				u.by = s.Proc
 			}
-			dm := c.delivered[s.Proc]
-			if dm == nil {
-				dm = make(map[model.MsgID]bool)
-				c.delivered[s.Proc] = dm
-			}
-			dm[s.Msg] = true
+			c.delivered.add(slot, s.Proc)
 		}
 	}
 	return nil
@@ -866,21 +980,20 @@ func (c *uniformChecker) finish(complete bool) *Violation {
 	if !complete {
 		return nil
 	}
-	for _, m := range sortedKeys(c.bcast) {
-		by, ok := c.deliveredBy[m]
-		if !ok {
+	var lost *uniformMsg
+	var by model.ProcID
+	for j := range c.msgs {
+		u := &c.msgs[j]
+		if !u.bcast || u.by == 0 || (lost != nil && u.m >= lost.m) {
 			continue
 		}
-		for pn := 1; pn <= c.n; pn++ {
-			pid := model.ProcID(pn)
-			if !c.correct(pid) {
-				continue
-			}
-			if !c.delivered[pid][m] {
-				return &Violation{Spec: "Uniform-Reliable-Broadcast", Property: "BC-Uniform-Termination",
-					Detail: fmt.Sprintf("m%d was B-delivered by %v but correct %v never B-delivers it", m, by, pid), StepIdx: -1}
-			}
+		if p := c.undelivered(&c.delivered, j); p != 0 {
+			lost, by = u, p
 		}
+	}
+	if u := lost; u != nil {
+		return &Violation{Spec: "Uniform-Reliable-Broadcast", Property: "BC-Uniform-Termination",
+			Detail: fmt.Sprintf("m%d was B-delivered by %v but correct %v never B-delivers it", u.m, u.by, by), StepIdx: -1}
 	}
 	return nil
 }

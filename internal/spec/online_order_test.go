@@ -23,8 +23,9 @@ func matchConflictStreams(n int, steps []model.Step) (int, error) {
 	compared := 0
 	for _, scd := range []bool{false, true} {
 		got, want := newConflictStream(n, scd), newRefConflictStream(n, scd)
+		var ids idTable
 		for i, s := range steps {
-			g, w := got.step(&steps[i]), want.step(s)
+			g, w := got.step(&steps[i], ids.stepSlot(&steps[i])), want.step(s)
 			if !reflect.DeepEqual(g, w) {
 				return compared, fmt.Errorf("scd=%v step %d (%v): got %v, reference %v", scd, i, s, g, w)
 			}

@@ -22,8 +22,10 @@ func newSCDChecker(n int) *scdChecker {
 	return &scdChecker{cs: newConflictStream(n, true)}
 }
 
-func (c *scdChecker) feed(i int, s *model.Step) *Violation {
-	if cf := c.cs.step(s); len(cf) > 0 {
+func (*scdChecker) kinds() kindSet { return orderKinds }
+
+func (c *scdChecker) feed(i int, s *model.Step, slot int) *Violation {
+	if cf := c.cs.step(s, slot); len(cf) > 0 {
 		x := cf[0]
 		return &Violation{Spec: "SCD-Order", Property: "Set-Constrained-Delivery",
 			Detail: fmt.Sprintf("%v delivers m%d in a strictly earlier set than m%d, while %v delivers m%d strictly earlier than m%d", x.p, x.a, x.b, x.q, x.b, x.a), StepIdx: i}

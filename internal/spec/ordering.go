@@ -15,7 +15,7 @@ import (
 // FIFOOrder checks FIFO delivery: if a process broadcasts m before m', no
 // process delivers m' without having delivered m first.
 func FIFOOrder() Spec {
-	return leafSpec("FIFO-Order", func(int) leafChecker { return newFIFOChecker() })
+	return leafSpec("FIFO-Order", func(n int) leafChecker { return newFIFOChecker(n) })
 }
 
 // FIFOBroadcast is FIFO order plus the universal broadcast properties.
@@ -28,7 +28,7 @@ func FIFOBroadcast() Spec {
 // Happened-before is the transitive closure of (a) local broadcast order
 // and (b) delivering m before broadcasting m'.
 func CausalOrder() Spec {
-	return leafSpec("Causal-Order", func(int) leafChecker { return newCausalChecker() })
+	return leafSpec("Causal-Order", func(n int) leafChecker { return newCausalChecker(n) })
 }
 
 // CausalBroadcast is causal order plus the universal broadcast properties.

@@ -70,7 +70,7 @@ func (s Spec) Name() string { return s.name }
 func (s Spec) Check(t *trace.Trace) *Violation {
 	m := NewMonitor(t.X.N, s)
 	for i := range t.X.Steps {
-		m.feed(&t.X.Steps[i])
+		m.FeedStep(&t.X.Steps[i])
 	}
 	m.Finish(t.Complete)
 	for _, j := range m.specs[0].leaves {

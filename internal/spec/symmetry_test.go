@@ -250,7 +250,9 @@ func TestCheckContentNeutralExtraRenamings(t *testing.T) {
 // payload "magic".
 type magicChecker struct{ safety }
 
-func (magicChecker) feed(i int, s *model.Step) *Violation {
+func (magicChecker) kinds() kindSet { return allKinds }
+
+func (magicChecker) feed(i int, s *model.Step, _ int) *Violation {
 	if s.Kind == model.KindBroadcastInvoke && s.Payload == "magic" {
 		return &Violation{Spec: "no-magic", Property: "Magic", Detail: "magic payload", StepIdx: i}
 	}

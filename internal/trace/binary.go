@@ -474,8 +474,8 @@ func (r *BinaryReader) Next() (model.Step, error) {
 			return model.Step{}, err
 		}
 	}
-	s, err := r.decodeStep()
-	if err != nil {
+	var s model.Step
+	if err := r.decodeStep(&s); err != nil {
 		r.err = err
 		return model.Step{}, err
 	}
@@ -484,11 +484,11 @@ func (r *BinaryReader) Next() (model.Step, error) {
 	return s, nil
 }
 
-// decodeStep decodes one step from the current block buffer.
-func (r *BinaryReader) decodeStep() (model.Step, error) {
+// decodeStep decodes one step from the current block buffer into the
+// zero step s.
+func (r *BinaryReader) decodeStep(s *model.Step) error {
 	d := &sliceDecoder{b: r.body, off: r.off, what: "step"}
 	flags := d.byte()
-	var s model.Step
 	s.Kind = model.StepKind(d.zig())
 	s.Proc = model.ProcID(d.zig())
 	if flags&fPeer != 0 {
@@ -513,13 +513,13 @@ func (r *BinaryReader) decodeStep() (model.Step, error) {
 		s.Batch = d.zig()
 	}
 	if d.err != nil {
-		return model.Step{}, d.err
+		return d.err
 	}
 	if !s.Kind.Valid() {
-		return model.Step{}, corruptf("step %d has invalid kind %d", r.read, int(s.Kind))
+		return corruptf("step %d has invalid kind %d", r.read, int(s.Kind))
 	}
 	r.off = d.off
-	return s, nil
+	return nil
 }
 
 // str decodes one interned string reference against the reader's table.
