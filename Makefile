@@ -1,12 +1,14 @@
 # Convenience targets for the reproduction artifact.
-.PHONY: all test race bench-all fuzz-smoke figure1 impossibility outputs metrics-smoke serve-smoke load-smoke fabric-smoke socket-smoke profile-feed profile-hunt profile-check
+.PHONY: all test race stress bench-all fuzz-smoke figure1 impossibility outputs metrics-smoke serve-smoke load-smoke fabric-smoke socket-smoke profile-feed profile-hunt profile-check profile-net
 all: test
 test:
 	go build ./... && go vet ./... && go test ./...
 race:
 	go test -race ./internal/net ./internal/nettcp ./internal/sharedmem ./internal/sched ./internal/conformance ./internal/sweep ./internal/explore ./internal/fabric ./internal/serve
+# stress: the shutdown, reentrancy and wait paths, repeated under -race. A
+# lost wake-up shows as a wait stalled until its timeout, so it fails here.
 stress:
-	go test -race -count=3 -run 'Reentrant|Concurrent|Stress|Stop|Reorder' ./internal/net
+	go test -race -count=3 -run 'Reentrant|Concurrent|Stress|Stop|Reorder|Wait|Drive|Progress' ./internal/net ./internal/nettcp
 bench-all:
 	go test -bench=. -benchmem ./...
 figure1:
@@ -137,6 +139,15 @@ profile-check:
 	go test -run '^$$' -bench 'BenchmarkCheckUpload$$' -benchtime 2000x -benchmem \
 	  -cpuprofile /tmp/check.pprof -o /tmp/serve.test ./internal/serve
 	@echo "profile written to /tmp/check.pprof (binary /tmp/serve.test)"
+
+# profile-net: CPU profile of 1,500 net-runtime /v1/run bodies through the
+# handler (BenchmarkRunNet: a random candidate, n=3, k=2, fresh seeds), the
+# path ksabench's daemon net ops time:
+#   go tool pprof -top /tmp/serve.test /tmp/net.pprof
+profile-net:
+	go test -run '^$$' -bench 'BenchmarkRunNet$$' -benchtime 1500x -benchmem \
+	  -cpuprofile /tmp/net.pprof -o /tmp/serve.test ./internal/serve
+	@echo "profile written to /tmp/net.pprof (binary /tmp/serve.test)"
 
 # fuzz-smoke: a short budgeted run of every fuzz target — enough to catch
 # an outright decoder regression on the seed-adjacent frontier without

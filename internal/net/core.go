@@ -46,20 +46,23 @@ type Core struct {
 	met    *netMetrics
 	tr     Transport
 
+	// progress is announced after each process's Init, every inbox event
+	// a loop takes, every drop counted outside the loops, and every
+	// crash: every change the counters, the recorder or the Deliver and
+	// Return callbacks show.
+	progress Progress
+
 	// mu guards the stopped flag. It is never held across a blocking
-	// channel send: enqueuers take it shared just long enough to observe
-	// !stopped (and, on the shed and delay paths, to register with wg),
-	// which is what lets Stop proceed even while a reentrant OnDeliver
-	// callback is mid-Broadcast. Holding it shared across `inbox <- ev`
-	// deadlocks: a full inbox parks the sender inside the read lock, Stop
-	// blocks on the write lock, and the event loop that should drain the
-	// inbox is itself the parked sender.
+	// operation: enqueuers take it shared just long enough to observe
+	// !stopped and append to an inbox (and, on the delay path, to
+	// register with wg), which is what lets Stop proceed even while a
+	// reentrant OnDeliver callback is mid-Broadcast.
 	mu      sync.RWMutex
 	stopped bool
-	// done is closed when Stop begins; it unparks delayed copies, shed
-	// enqueues and transport waits, so wg can drain.
+	// done is closed when Stop begins; it unparks delayed copies and
+	// transport waits, so wg can drain.
 	done  chan struct{}
-	wg    sync.WaitGroup // delayed copies and shed enqueues
+	wg    sync.WaitGroup // delayed copies
 	loops sync.WaitGroup // event loops
 }
 
@@ -67,7 +70,7 @@ type Core struct {
 type proc struct {
 	id        model.ProcID
 	automaton sched.Automaton
-	inbox     chan event
+	inbox     inbox
 	crashed   atomic.Bool
 	delivered atomic.Int64
 	returned  atomic.Int64
@@ -92,10 +95,116 @@ type event struct {
 	seq     int64
 }
 
+// inbox is a process's unbounded FIFO of events. A push never blocks, so
+// no sender ever parks on a full inbox. Events queue in fixed-size
+// chunks; the event loop takes them a chunk at a time and hands each
+// chunk it finished back for reuse, so an inbox allocates only while its
+// backlog grows past the deepest one so far.
+type inbox struct {
+	mu sync.Mutex
+	// The queued events are head.ev[r:], up to tail.ev[:w]: head.ev[r:w]
+	// when head == tail. n counts them.
+	head, tail *inboxChunk
+	r, w, n    int
+	free       *inboxChunk // chunks the loop finished with
+	closed     bool
+	// wake holds a token whenever events are queued, or the inbox is
+	// closed, while its loop may be asleep: a push onto an empty inbox,
+	// and close, put one there.
+	wake chan struct{}
+}
+
+// chunkLen is the number of events per inbox chunk.
+const chunkLen = 64
+
+type inboxChunk struct {
+	ev   [chunkLen]event
+	next *inboxChunk
+}
+
+// push appends ev.
+func (q *inbox) push(ev event) {
+	q.mu.Lock()
+	if q.tail == nil || q.w == chunkLen {
+		c := q.free
+		if c != nil {
+			q.free, c.next = c.next, nil
+		} else {
+			c = new(inboxChunk)
+		}
+		if q.tail == nil {
+			q.head, q.r = c, 0
+		} else {
+			q.tail.next = c
+		}
+		q.tail, q.w = c, 0
+	}
+	q.tail.ev[q.w] = ev
+	q.w++
+	q.n++
+	first := q.n == 1
+	q.mu.Unlock()
+	if first {
+		q.signal()
+	}
+}
+
+// close ends the loop once it has taken what is queued.
+func (q *inbox) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.signal()
+}
+
+func (q *inbox) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default: // a token is already there
+	}
+}
+
+// take blocks until events are queued and returns the oldest of them, at
+// most the rest of one chunk; ok is false once the inbox is closed and
+// empty. Only the event loop calls it, and the batch stays valid until
+// its next call.
+func (q *inbox) take() (batch []event, ok bool) {
+	for {
+		q.mu.Lock()
+		if q.head != nil && q.r == chunkLen {
+			// The previous batch finished the head chunk: recycle it.
+			c := q.head
+			q.head, q.r = c.next, 0
+			if c == q.tail {
+				q.tail = nil
+			}
+			clear(c.ev[:]) // drop the payloads
+			c.next, q.free = q.free, c
+		}
+		if q.n > 0 {
+			end := chunkLen
+			if q.head == q.tail {
+				end = q.w
+			}
+			batch = q.head.ev[q.r:end]
+			q.n -= end - q.r
+			q.r = end
+			q.mu.Unlock()
+			return batch, true
+		}
+		closed := q.closed
+		q.mu.Unlock()
+		if closed {
+			return nil, false
+		}
+		<-q.wake
+	}
+}
+
 // NewCore builds the processes ids of an n-process system, each with its
-// own inbox of inboxSize events. Every send passes eg, whose counters the
-// core shares. Call Start to run them.
-func NewCore(n int, ids []model.ProcID, newAutomaton func(model.ProcID) sched.Automaton, inboxSize int, eg *Egress, tr Transport) *Core {
+// own inbox. Every send passes eg, whose counters the core shares. Call
+// Start to run them.
+func NewCore(n int, ids []model.ProcID, newAutomaton func(model.ProcID) sched.Automaton, eg *Egress, tr Transport) *Core {
 	c := &Core{
 		n:      n,
 		procs:  make([]*proc, n),
@@ -108,7 +217,7 @@ func NewCore(n int, ids []model.ProcID, newAutomaton func(model.ProcID) sched.Au
 		c.procs[id-1] = &proc{
 			id:        id,
 			automaton: newAutomaton(id),
-			inbox:     make(chan event, inboxSize),
+			inbox:     inbox{wake: make(chan struct{}, 1)},
 			seq:       make([]int64, n),
 			lastSeq:   make([]int64, n),
 			env:       sched.NewEnv(id, n),
@@ -128,34 +237,48 @@ func (c *Core) Start() {
 		go func() {
 			defer c.loops.Done()
 			c.handle(ps, func(env *sched.Env) { ps.automaton.Init(env) })
+			c.progress.Announce()
 			c.loop(ps)
 		}()
 	}
 }
 
-// loop is a process's event loop. Once Stop begins, or once the process
+// loop is a process's event loop. It announces progress after each event
+// it takes, handled or dropped. Once Stop begins, or once the process
 // crashed, it drains its inbox without handling: a queued event is then
 // indistinguishable from one forever in transit.
 func (c *Core) loop(ps *proc) {
-	for ev := range ps.inbox {
-		if ps.crashed.Load() || c.stopping() {
-			c.met.dropped.Inc()
-			continue
+	for {
+		batch, ok := ps.inbox.take()
+		if !ok {
+			return
 		}
-		if ev.invoke {
-			c.met.broadcasts.Inc()
-			c.tr.Record(model.Step{Proc: ps.id, Kind: model.KindBroadcastInvoke, Msg: ev.msg, Payload: ev.payload})
-			c.handle(ps, func(env *sched.Env) { ps.automaton.OnBroadcast(env, ev.msg, ev.payload) })
-			continue
+		for i := range batch {
+			c.event(ps, &batch[i])
+			c.progress.Announce()
 		}
-		c.met.received.Inc()
-		if ev.seq < ps.lastSeq[ev.from-1] {
-			c.met.reordered.Inc()
-		} else {
-			ps.lastSeq[ev.from-1] = ev.seq
-		}
-		c.handle(ps, func(env *sched.Env) { ps.automaton.OnReceive(env, ev.from, ev.payload) })
 	}
+}
+
+// event handles one inbox event, or drops it.
+func (c *Core) event(ps *proc, ev *event) {
+	if ps.crashed.Load() || c.stopping() {
+		c.met.dropped.Inc()
+		return
+	}
+	if ev.invoke {
+		c.met.broadcasts.Inc()
+		c.tr.Record(model.Step{Proc: ps.id, Kind: model.KindBroadcastInvoke, Msg: ev.msg, Payload: ev.payload})
+		c.handle(ps, func(env *sched.Env) { ps.automaton.OnBroadcast(env, ev.msg, ev.payload) })
+		return
+	}
+	c.met.received.Inc()
+	if ev.seq < ps.lastSeq[ev.from-1] {
+		c.met.reordered.Inc()
+	} else {
+		ps.lastSeq[ev.from-1] = ev.seq
+	}
+	c.handle(ps, func(env *sched.Env) { ps.automaton.OnReceive(env, ev.from, ev.payload) })
 }
 
 // handle runs a handler and applies the emitted actions, including the
@@ -239,6 +362,7 @@ func (c *Core) send(ps *proc, to model.ProcID, payload model.Payload) {
 				c.tr.Emit(from, to, seq, i, payload)
 			case <-c.done:
 				c.met.dropped.Inc()
+				c.progress.Announce()
 			}
 		}()
 	}
@@ -275,41 +399,22 @@ func (c *Core) local(p model.ProcID) *proc {
 	return c.procs[p-1]
 }
 
-// enqueue hands ev to ps's event loop without ever blocking the caller
-// and without holding the lock across a blocking send: a full inbox
-// sheds the enqueue to a goroutine, registered with wg, that parks until
-// space frees or Stop begins (so shed events may overtake each other).
-// An OnDeliver callback may thus call straight back into Broadcast while
-// Stop awaits the exclusive lock, and neither wedges the loop that has
-// to drain the inbox.
+// enqueue hands ev to ps's event loop without ever blocking the caller:
+// the inbox is unbounded, and the push happens under the shared lock, so
+// Stop, which closes the inboxes only after taking the exclusive lock,
+// never closes one underneath a push. An OnDeliver callback may thus call
+// straight back into Broadcast while Stop awaits the exclusive lock, and
+// neither wedges the loop that has to drain the inbox.
 func (c *Core) enqueue(ps *proc, ev event) bool {
 	if ps == nil || ps.crashed.Load() {
 		return false
 	}
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	if c.stopped {
-		c.mu.RUnlock()
 		return false
 	}
-	select {
-	case ps.inbox <- ev:
-		c.mu.RUnlock()
-		return true
-	default:
-	}
-	// Inbox full: shed. wg.Add happens while the shared lock still
-	// guarantees Stop has not begun, so the inbox cannot close underneath
-	// the parked goroutine.
-	c.wg.Add(1)
-	c.mu.RUnlock()
-	go func() {
-		defer c.wg.Done()
-		select {
-		case ps.inbox <- ev:
-		case <-c.done:
-			c.met.dropped.Inc()
-		}
-	}()
+	ps.inbox.push(ev)
 	return true
 }
 
@@ -326,6 +431,7 @@ func (c *Core) Invoke(p model.ProcID, msg model.MsgID, payload model.Payload) bo
 func (c *Core) Receive(to, from model.ProcID, seq int64, payload model.Payload) {
 	if from < 1 || int(from) > c.n || !c.enqueue(c.local(to), event{from: from, seq: seq, payload: payload}) {
 		c.met.dropped.Inc()
+		c.progress.Announce()
 	}
 }
 
@@ -335,6 +441,7 @@ func (c *Core) Crash(p model.ProcID) {
 	if ps := c.local(p); ps != nil && ps.crashed.CompareAndSwap(false, true) {
 		c.met.crashes.Inc()
 		c.tr.Record(model.Step{Proc: p, Kind: model.KindCrash})
+		c.progress.Announce()
 	}
 }
 
@@ -355,13 +462,16 @@ func (c *Core) Returned(p model.ProcID) int64 {
 	return 0
 }
 
+// Progress is the core's progress signal.
+func (c *Core) Progress() *Progress { return &c.progress }
+
 // Done is closed when Stop begins. Transport waits select on it.
 func (c *Core) Done() <-chan struct{} { return c.done }
 
 // Stop shuts the core down: no further events are accepted, delayed
-// copies and shed enqueues drain, and the event loops join. It is
-// idempotent, and it terminates even while Deliver callbacks reentrantly
-// broadcast into full inboxes.
+// copies drain, the events still queued are dropped and counted, and the
+// event loops join. It is idempotent, and it terminates even while
+// Deliver callbacks reentrantly broadcast.
 func (c *Core) Stop() {
 	c.mu.Lock()
 	if c.stopped {
@@ -370,16 +480,16 @@ func (c *Core) Stop() {
 	}
 	c.stopped = true
 	c.mu.Unlock()
-	// Unpark every delayed copy and shed enqueue; they observe done,
-	// count themselves dropped, and exit without touching an inbox.
+	// Unpark every delayed copy; they observe done, count themselves
+	// dropped, and exit without touching an inbox.
 	close(c.done)
 	c.wg.Wait()
 	// No sender remains: new enqueues observe stopped under the shared
-	// lock before reaching a channel, so closing the inboxes is safe and
-	// ends the loops.
+	// lock before reaching an inbox. Closing the inboxes lets each loop
+	// drop what is queued and end.
 	for _, ps := range c.procs {
 		if ps != nil {
-			close(ps.inbox)
+			ps.inbox.close()
 		}
 	}
 	c.loops.Wait()

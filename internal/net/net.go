@@ -66,14 +66,10 @@ type Config struct {
 	Seed uint64
 	// OnDeliver, if set, observes every B-delivery. It is called from node
 	// goroutines and must be safe for concurrent use; it may call back
-	// into Broadcast (reentrancy is supported — enqueueing never blocks
-	// the node loop).
+	// into Broadcast (reentrancy is supported — inboxes are unbounded, so
+	// enqueueing never blocks the node loop). Progress is announced after
+	// it returns.
 	OnDeliver func(Delivery)
-	// InboxSize is the per-node event buffer (default 1024). When an
-	// inbox overflows, the enqueue is shed to a background goroutine, so
-	// senders never block; shed messages may arrive out of send order
-	// (the network is non-FIFO anyway).
-	InboxSize int
 	// Faults optionally injects link-level faults (drop, duplication,
 	// delay distributions, timed partitions). Nil keeps the reliable
 	// network of the model.
@@ -175,9 +171,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.K < 1 {
 		cfg.K = 1
 	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 1024
-	}
 	nw := &Network{
 		cfg:    cfg,
 		egress: eg,
@@ -190,7 +183,7 @@ func New(cfg Config) (*Network, error) {
 	for i := range ids {
 		ids[i] = model.ProcID(i + 1)
 	}
-	nw.core = NewCore(cfg.N, ids, cfg.NewAutomaton, cfg.InboxSize, eg, Transport{
+	nw.core = NewCore(cfg.N, ids, cfg.NewAutomaton, eg, Transport{
 		Emit: func(from, to model.ProcID, seq int64, _ int, payload model.Payload) {
 			nw.core.Receive(to, from, seq, payload)
 		},
@@ -205,10 +198,10 @@ func New(cfg Config) (*Network, error) {
 }
 
 // Broadcast invokes B.broadcast at process p with the given content and
-// returns the fresh message identity. It never blocks: under inbox
-// overflow the invocation event is enqueued asynchronously, and an event
-// still queued when Stop begins is discarded (indistinguishable from a
-// crash between invocation and any send).
+// returns the fresh message identity. It never blocks: the invocation
+// event joins p's unbounded inbox, and an event still queued when Stop
+// begins is discarded (indistinguishable from a crash between invocation
+// and any send).
 func (nw *Network) Broadcast(p model.ProcID, payload model.Payload) (model.MsgID, error) {
 	if p < 1 || int(p) > nw.cfg.N {
 		return model.NoMsg, fmt.Errorf("net: no process %v", p)
@@ -240,15 +233,21 @@ func (nw *Network) Returned(p model.ProcID) int64 { return nw.core.Returned(p) }
 // StatsSnapshot returns the current counters.
 func (nw *Network) StatsSnapshot() StatsSnapshot { return nw.egress.met.snapshot() }
 
-// WaitUntil polls cond until it holds or the timeout elapses, returning
-// whether it held. It is the intended way for integration tests and
-// examples to await eventual-delivery conditions; see Await.
+// Progress is the network's progress signal, announced after every event
+// a process takes, every drop and every crash.
+func (nw *Network) Progress() *Progress { return nw.core.Progress() }
+
+// WaitUntil blocks until cond holds or the timeout elapses, returning
+// whether it held; it re-checks cond after each progress announcement
+// (see Progress.Await). It is the intended way for integration tests and
+// examples to await eventual-delivery conditions. cond may read the
+// counters, the recorder and state the OnDeliver callback keeps.
 func (nw *Network) WaitUntil(cond func() bool, timeout time.Duration) bool {
-	return Await(context.TODO(), cond, timeout)
+	return nw.Progress().Await(context.TODO(), cond, timeout)
 }
 
 // Stop shuts the network down: no further events are accepted, in-flight
-// message goroutines drain, and all node goroutines join. It is
-// idempotent, and it terminates even while OnDeliver callbacks are
-// reentrantly broadcasting into full inboxes.
+// message goroutines drain, queued events are dropped, and all node
+// goroutines join. It is idempotent, and it terminates even while
+// OnDeliver callbacks are reentrantly broadcasting.
 func (nw *Network) Stop() { nw.core.Stop() }

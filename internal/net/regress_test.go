@@ -20,9 +20,10 @@ import (
 // callback that re-broadcasts, and a concurrent Stop awaiting the
 // exclusive lock, the node loop that had to drain the inbox was itself
 // the sender parked inside the read lock — a permanent wedge. The fix
-// never holds the lock across a blocking send (non-blocking fast path,
-// shed goroutine for overflow, done-channel unpark at Stop), so this test
-// must finish well inside its watchdog. Run it with -race.
+// never holds the lock across a blocking operation (inboxes are unbounded
+// queues, and a push only appends; delayed copies unpark on a done
+// channel at Stop), so this test must finish well inside its watchdog.
+// Run it with -race.
 func TestReentrantOnDeliverStopNoDeadlock(t *testing.T) {
 	const iterations = 10
 	for it := 0; it < iterations; it++ {
@@ -34,7 +35,6 @@ func TestReentrantOnDeliverStopNoDeadlock(t *testing.T) {
 			nw, err := net.New(net.Config{
 				N:            3,
 				NewAutomaton: broadcast.NewSendToAll,
-				InboxSize:    1, // force the overflow/shed path constantly
 				OnDeliver: func(d net.Delivery) {
 					// Reentrant amplification: every delivery triggers a
 					// fresh broadcast (the growing payload caps the storm
@@ -60,9 +60,9 @@ func TestReentrantOnDeliverStopNoDeadlock(t *testing.T) {
 					return
 				}
 			}
-			// Let the storm saturate the 1-slot inboxes before stopping:
-			// the old runtime wedges right here (nodes park on their own
-			// full inboxes and delivery stalls for good).
+			// Let the storm fill the inboxes before stopping: the old
+			// runtime wedged right here (nodes parked on their own full
+			// inboxes and delivery stalled for good).
 			nw.WaitUntil(func() bool {
 				var total int64
 				for p := 1; p <= 3; p++ {
@@ -96,23 +96,29 @@ func TestReentrantOnDeliverStopNoDeadlock(t *testing.T) {
 }
 
 // TestConcurrentBroadcastersTinyInboxStop stresses the same fix from the
-// outside: many goroutines broadcasting into 1-slot inboxes while Stop
-// fires midway. Every Broadcast must return (possibly with a stopped
-// error) and Stop must join everything.
+// outside: many goroutines broadcasting into inboxes that reliable
+// broadcast's echoes keep busy while Stop fires midway. Every Broadcast
+// must return (possibly with a stopped error), Stop must join everything,
+// and every event still queued must count as dropped.
 func TestConcurrentBroadcastersTinyInboxStop(t *testing.T) {
 	const n, senders, perSender = 4, 8, 50
-	nw, err := net.New(net.Config{N: n, NewAutomaton: broadcast.NewReliable, InboxSize: 1})
+	nw, err := net.New(net.Config{N: n, NewAutomaton: broadcast.NewReliable})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		accepted atomic.Int64
+	)
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
 				p := model.ProcID(s%n + 1)
-				nw.Broadcast(p, model.Payload(fmt.Sprintf("m-%d-%d", s, i))) //nolint:errcheck
+				if _, err := nw.Broadcast(p, model.Payload(fmt.Sprintf("m-%d-%d", s, i))); err == nil {
+					accepted.Add(1)
+				}
 			}
 		}(s)
 	}
@@ -130,6 +136,13 @@ func TestConcurrentBroadcastersTinyInboxStop(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("deadlock: broadcasters or Stop wedged on a full inbox")
 		}
+	}
+	// Every accepted invocation and every sent copy (fault-free, zero
+	// delay: each goes straight to its destination's inbox) was handled
+	// or counted as dropped, at the inbox's door or still queued at Stop.
+	st := nw.StatsSnapshot()
+	if in, out := accepted.Load()+st.Sent, st.Broadcasts+st.Received+st.Dropped; in != out {
+		t.Errorf("%d invocations and sends entered, %d handled or dropped: %+v", in, out, st)
 	}
 }
 
@@ -179,7 +192,7 @@ func TestReorderCounterPerLink(t *testing.T) {
 
 // TestStopLeaksNoGoroutines: after Stop the goroutine count returns to
 // its pre-start value within 1s, with every shutdown path busy at once —
-// delayed copies still in flight, a 1-slot inbox that sheds, and an
+// delayed copies still in flight, queued events to drop, and an
 // OnDeliver that broadcasts again.
 func TestStopLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -189,7 +202,6 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 		N:            3,
 		NewAutomaton: broadcast.NewSendToAll,
 		MaxDelay:     20 * time.Millisecond,
-		InboxSize:    1,
 		Obs:          reg,
 		OnDeliver: func(d net.Delivery) {
 			if n := nwp.Load(); n != nil && len(d.Payload) < 40 {

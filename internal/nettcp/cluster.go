@@ -171,10 +171,14 @@ func (cl *Cluster) Kill(p model.ProcID) error {
 func (cl *Cluster) Delivered(p model.ProcID) int64 { return cl.h.Delivered(p) }
 func (cl *Cluster) Returned(p model.ProcID) int64  { return cl.h.Returned(p) }
 
-// WaitUntil polls cond with bounded backoff until it holds or timeout
-// (see net.Await).
+// Progress is the harness's progress signal, announced after every status
+// frame it stores.
+func (cl *Cluster) Progress() *net.Progress { return &cl.h.progress }
+
+// WaitUntil blocks until cond holds or timeout, re-checking it after each
+// status frame (see net.Progress.Await).
 func (cl *Cluster) WaitUntil(cond func() bool, timeout time.Duration) bool {
-	return net.Await(context.TODO(), cond, timeout)
+	return cl.Progress().Await(context.TODO(), cond, timeout)
 }
 
 // Stop ends the run and joins the spawned nodes.

@@ -81,6 +81,9 @@ type Harness struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup // the accept loop and its connections
 
+	// progress is announced after every status frame a link stores.
+	progress net.Progress
+
 	proposes, statuses *obs.Counter
 }
 
@@ -214,6 +217,7 @@ func (h *Harness) serveControl(nl *nodeLink) {
 			h.statuses.Inc()
 			nl.delivered.Store(sm.Delivered)
 			nl.returned.Store(sm.Returned)
+			h.progress.Announce()
 		case fPropose:
 			var km ksaMsg
 			if decode(t, body, &km) != nil {

@@ -87,6 +87,83 @@ func playLateNode(harness string, lag time.Duration) error {
 	return nil
 }
 
+// TestWaitUntilWakesOnStatusFrame: Cluster.WaitUntil re-checks its
+// condition when the harness stores a status frame, not on a timer. The
+// test plays the only node by hand and pushes one status frame 50ms into
+// the wait; the wait must return true long before its timeout, having
+// checked its condition once at the start and once for the frame.
+func TestWaitUntilWakesOnStatusFrame(t *testing.T) {
+	h, err := NewHarness(HarnessConfig{N: 1, Candidate: "send-to-all", StartTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &Cluster{h: h}
+	defer cl.Stop()
+	push := make(chan struct{})
+	played := make(chan error, 1)
+	go func() { played <- playStatusNode(h.Addr(), push) }()
+	if err := h.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		close(push)
+	}()
+	checks := 0
+	began := time.Now()
+	ok := cl.WaitUntil(func() bool { checks++; return cl.Delivered(1) >= 1 }, testWait)
+	if elapsed := time.Since(began); !ok || elapsed > testWait/2 {
+		t.Fatalf("WaitUntil = %v after %v, want true on the status frame", ok, elapsed)
+	}
+	if checks > 2 {
+		t.Errorf("condition checked %d times for one status frame, want ≤ 2", checks)
+	}
+	cl.Stop()
+	if err := <-played; err != nil {
+		t.Fatalf("played node: %v", err)
+	}
+}
+
+// playStatusNode speaks the node side of the protocol by hand: register,
+// await the start frame, open an empty trace stream, report ready, and
+// once push closes send one status frame reporting one delivery. It then
+// holds the control connection until the harness stops the run.
+func playStatusNode(harness string, push <-chan struct{}) error {
+	c, err := stdnet.Dial("tcp", harness)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	fc := newFrameConn(c)
+	if err := fc.send(fHello, helloMsg{ID: 1, Addr: "127.0.0.1:1"}); err != nil {
+		return err
+	}
+	if _, _, err := fc.recv(); err != nil {
+		return err
+	}
+	tc, err := stdnet.Dial("tcp", harness)
+	if err != nil {
+		return err
+	}
+	defer tc.Close()
+	if err := newFrameConn(tc).send(fTraceHello, helloMsg{ID: 1}); err != nil {
+		return err
+	}
+	bw, err := trace.NewBinaryWriter(tc, trace.StreamHeader{N: 1, Complete: true, Name: "node-1", Steps: -1})
+	if err != nil {
+		return err
+	}
+	if err := fc.send(fReady, struct{}{}); err != nil {
+		return err
+	}
+	<-push
+	if err := fc.send(fStatus, statusMsg{Delivered: 1}); err != nil {
+		return err
+	}
+	fc.recv() // fStop, or EOF once the harness hangs up
+	return bw.Close()
+}
+
 // TestClusterStopLeaksNoGoroutines: after an in-process cluster's Stop,
 // the goroutine count returns to its pre-start value within 1s — on a
 // clean run, with a killed node, and with every copy duplicated and

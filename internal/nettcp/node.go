@@ -197,7 +197,7 @@ func (nd *Node) applyStart(start startMsg) error {
 	if err != nil {
 		return err
 	}
-	nd.core = net.NewCore(start.N, []model.ProcID{nd.id}, newAutomaton, 1024, egress, net.Transport{
+	nd.core = net.NewCore(start.N, []model.ProcID{nd.id}, newAutomaton, egress, net.Transport{
 		Emit:    nd.emit,
 		Propose: nd.propose,
 		Record:  nd.record,
@@ -423,7 +423,7 @@ func (nd *Node) relay(dm dataMsg) {
 
 // toPeer hands a frame to peer p's dispatcher. A full out channel
 // blocks briefly: the dispatcher always drains (peer readers never
-// block — the core's inbox sheds), so this cannot deadlock.
+// block — the core's inbox is unbounded), so this cannot deadlock.
 func (nd *Node) toPeer(p int, dm dataMsg) {
 	out := nd.outs[p-1]
 	if out == nil {

@@ -93,6 +93,12 @@ type safety struct{}
 
 func (safety) finish(bool) *Violation { return nil }
 
+// slotless is embedded by the leaves whose feed ignores its slot. A
+// Monitor all of whose leaves embed it numbers no message id.
+type slotless struct{}
+
+func (slotless) ignoresSlot() {}
+
 // sortedKeys returns a map's keys in ascending order. Every witness a
 // leaf picks from a map goes through it, so the choice, and the verdict
 // text, is a function of the trace alone.
@@ -145,11 +151,12 @@ type SpecVerdict struct {
 // feeds each leaf every step of a kind it reads until that leaf latches,
 // and derives each spec's verdict from its leaves' entries: the leaf
 // violated at the earliest step, the first declared on a tie; failing
-// that, the first declared leaf violated at Finish. It also numbers every
-// message id once (its idTable) and hands each leaf the step's slot. Feed
-// returns the overall first violation (nil until one occurs), so callers
-// can fail fast while the monitor keeps collecting verdicts for the
-// remaining specs.
+// that, the first declared leaf violated at Finish. Unless every leaf
+// ignores slots, it also numbers every message id once (its idTable) and
+// hands each leaf the step's slot; a Monitor of slot-free leaves hands
+// them -1. Feed returns the overall first violation (nil until one
+// occurs), so callers can fail fast while the monitor keeps collecting
+// verdicts for the remaining specs.
 type Monitor struct {
 	step     model.Step // the step Feed copied; leaves get a pointer to it
 	steps    int
@@ -159,6 +166,7 @@ type Monitor struct {
 	first    *Violation
 	firstIdx int
 	finished bool
+	numbered bool // some leaf reads slots, so every step's id is numbered
 }
 
 // monLeaf is one distinct leaf's checker and latched verdict.
@@ -203,6 +211,9 @@ func (m *Monitor) entry(l leaf, n int) int {
 		}
 	}
 	ck := l.mk(n)
+	if _, free := ck.(interface{ ignoresSlot() }); !free {
+		m.numbered = true
+	}
 	m.leaves = append(m.leaves, monLeaf{key: l.key, ck: ck, kinds: ck.kinds(), idx: -1})
 	return len(m.leaves) - 1
 }
@@ -223,7 +234,10 @@ func (m *Monitor) Feed(s model.Step) *Violation {
 func (m *Monitor) FeedStep(s *model.Step) *Violation {
 	i := m.steps
 	m.steps++
-	slot := m.ids.stepSlot(s)
+	slot := -1
+	if m.numbered {
+		slot = m.ids.stepSlot(s)
+	}
 	bit := kindBit(s.Kind)
 	latched := false
 	for j := range m.leaves {

@@ -18,6 +18,7 @@ import (
 // outside p1..pn latches, so it keeps state for p1..pn only.
 type wellFormedChecker struct {
 	safety
+	slotless
 	n     int
 	procs []wfProc // p0..pn, made on first use
 }
@@ -287,6 +288,7 @@ func (c *channelsChecker) finish(complete bool) *Violation {
 // k-SA-Termination at finish.
 type ksaChecker struct {
 	crashTracker
+	slotless
 	k    int
 	name string
 	objs map[model.KSAID]*ksaObject

@@ -51,3 +51,38 @@ func TestIDTableNumbersFirstAppearance(t *testing.T) {
 		t.Fatalf("a path went unused: %d in the slice, %d in the map, %d reused across namespaces", len(tab.dense), len(tab.sparse), len(tab.cross))
 	}
 }
+
+// TestSlotlessMonitorNumbersNoIDs: a Monitor whose leaves all ignore the
+// slot (Well-Formed and k-SA) numbers no message id, and one more leaf
+// that reads slots makes it number every id, as before.
+func TestSlotlessMonitorNumbersNoIDs(t *testing.T) {
+	const n = 3
+	steps := []model.Step{
+		{Proc: 1, Kind: model.KindBroadcastInvoke, Msg: 7, Payload: "a"},
+		{Proc: 1, Kind: model.KindSend, Peer: 2, Msg: 8, Payload: "a"},
+		{Proc: 2, Kind: model.KindReceive, Peer: 1, Msg: 8, Payload: "a"},
+		{Proc: 2, Kind: model.KindDeliver, Peer: 1, Msg: 7, Payload: "a"},
+		{Proc: 1, Kind: model.KindBroadcastReturn, Msg: 7},
+	}
+	for _, tc := range []struct {
+		name     string
+		specs    []Spec
+		numbered bool
+	}{
+		{"well-formed", []Spec{WellFormed()}, false},
+		{"ksa", []Spec{KSA(2)}, false},
+		{"both", []Spec{WellFormed(), KSA(2)}, false},
+		{"with-basic", []Spec{WellFormed(), SendToAll()}, true},
+	} {
+		m := NewMonitor(n, tc.specs...)
+		for i := range steps {
+			m.FeedStep(&steps[i])
+		}
+		if m.numbered != tc.numbered {
+			t.Errorf("%s: numbered = %v, want %v", tc.name, m.numbered, tc.numbered)
+		}
+		if want := map[bool]int{false: 0, true: 2}[tc.numbered]; m.ids.ids != want {
+			t.Errorf("%s: %d ids numbered, want %d", tc.name, m.ids.ids, want)
+		}
+	}
+}
